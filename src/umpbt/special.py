@@ -35,9 +35,12 @@ __all__ = [
 # exp() overflows double precision just above this
 _MAX_EXP = 709.782712893384
 
-# Power series is used up to this argument, the uniform asymptotic beyond.
+# Power series is used up to this argument, the uniform asymptotic beyond
+# (and at orders whose series would need more than _SERIES_TERM_CAP terms).
 _SERIES_Z_MAX = 700.0
 _SERIES_TERM_CAP = 1000
+# Rows per block of the series workspace (about 2 MB at 250 terms).
+_SERIES_BLOCK = 1024
 _MIXTURE_TAIL = 1e-12
 
 
@@ -94,6 +97,15 @@ def _log_bessel_series(order: float, z: np.ndarray) -> np.ndarray:
     entirely in log scale: term logs follow from successive ratios of the
     gamma factors, and a max-shifted log-sum-exp collapses them so the peak
     term (which exceeds linear range near z = 700) never materializes.
+
+    The reduction runs in place over one workspace of ``_SERIES_BLOCK``
+    rows, so a 16,384-draw Monte Carlo chunk never holds its full term
+    matrix, and reproduces the arithmetic of ``scipy.special.logsumexp`` bit
+    for bit: the terms equal to the row maximum leave the sum and come back
+    as ``log(m)``.  The benchmark's correctness gate checks theta* at 1e-8
+    relative against values recorded with that function, and a one-ulp
+    change in log I moves theta* past it.  The term count is sized from
+    ``z.max()`` of the whole array, so blocking does not change any value.
     """
     n_terms = _series_terms_needed(order, float(z.max()))
     if n_terms > _SERIES_TERM_CAP:
@@ -102,21 +114,37 @@ def _log_bessel_series(order: float, z: np.ndarray) -> np.ndarray:
             f"(budget {_SERIES_TERM_CAP})"
         )
     j = np.arange(n_terms, dtype=float)
-    log_half = np.log(z / 2.0)[..., None]
-    log_terms = (
-        (order + 2.0 * j) * log_half
-        - _sp.gammaln(order + j + 1.0)
-        - _sp.gammaln(j + 1.0)
-    )
-    return _sp.logsumexp(log_terms, axis=-1)
+    powers = order + 2.0 * j
+    log_gamma_order = _sp.gammaln(order + j + 1.0)
+    log_factorial = _sp.gammaln(j + 1.0)
+    log_half = np.log(z / 2.0)
+    out = np.empty_like(log_half)
+    work = np.empty((min(z.size, _SERIES_BLOCK), n_terms))
+    for start in range(0, z.size, _SERIES_BLOCK):
+        stop = min(start + _SERIES_BLOCK, z.size)
+        terms = work[: stop - start]
+        np.multiply(log_half[start:stop, None], powers, out=terms)
+        terms -= log_gamma_order
+        terms -= log_factorial
+        peak = terms.max(axis=1)
+        terms -= peak[:, None]
+        top = terms == 0.0
+        m = np.count_nonzero(top, axis=1).astype(float)
+        np.exp(terms, out=terms)
+        np.copyto(terms, 0.0, where=top)
+        s = terms.sum(axis=1)
+        s /= m  # logsumexp skips the division when s == 0; 0 / m is 0 too
+        out[start:stop] = np.log1p(s) + np.log(m) + peak
+    return out
 
 
 def _log_bessel_uniform(order: float, z: np.ndarray) -> np.ndarray:
-    """log I_order(z) by the uniform large-parameter expansion, z > 700.
+    """log I_order(z) by the uniform large-parameter expansion.
 
-    Valid uniformly in the order because the expansion parameter is
-    1/sqrt(order^2 + z^2) <= 1/700; four correction polynomials leave a
-    truncation error below 1e-13 on the log value.  Negative orders in
+    Used for z > 700 and for orders above ~1.16e4.  Valid uniformly in the
+    order because the expansion parameter is 1/sqrt(order^2 + z^2) <= 1/700
+    there; four correction polynomials leave a truncation error below
+    1e-13 on the log value.  Negative orders in
     (-1, 0) are mapped to |order|: the two functions differ by a
     K-Bessel term of relative size ~exp(-2z), invisible at z > 700.
     """
@@ -148,12 +176,12 @@ def log_bessel_i_array(order: float, z: np.ndarray) -> np.ndarray:
     if not (order > -1.0):
         raise DomainError(f"Bessel order must exceed -1, got {order}")
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0) or not np.all(np.isfinite(z)):
+    if (z < 0).any() or not np.isfinite(z).all():
         raise DomainError("Bessel argument must be finite and nonnegative")
 
     out = np.empty_like(z)
     zero = z == 0.0
-    if np.any(zero):
+    if zero.any():
         if order == 0.0:
             out[zero] = 0.0
         elif order > 0.0:
@@ -161,10 +189,16 @@ def log_bessel_i_array(order: float, z: np.ndarray) -> np.ndarray:
         else:
             out[zero] = np.inf
     small = (~zero) & (z <= _SERIES_Z_MAX)
-    if np.any(small):
+    if _series_terms_needed(order, _SERIES_Z_MAX) > _SERIES_TERM_CAP:
+        # Orders above ~1.16e4: the series outgrows its budget, but there
+        # hypot(order, z) > 1e4 and the uniform expansion is exact in
+        # double precision.
+        needed = np.vectorize(_series_terms_needed, otypes=[int])(order, z)
+        small &= needed <= _SERIES_TERM_CAP
+    if small.any():
         out[small] = _log_bessel_series(order, z[small])
-    large = z > _SERIES_Z_MAX
-    if np.any(large):
+    large = ~(zero | small)
+    if large.any():
         out[large] = _log_bessel_uniform(order, z[large])
     return out
 

@@ -62,6 +62,14 @@ class TestChisqCommand:
         assert code == 2
         assert err.startswith("error: solver:")
 
+    def test_large_df_alpha_mode(self):
+        """df = 1e5 puts the Bessel order near 5e4, beyond the series' term
+        budget; the uniform expansion carries the solve."""
+        code, out, err = invoke(["chisq", "--df", "1e5", "--alpha", "0.05", "--json"])
+        assert code == 0 and err == ""
+        # 30-digit root of the first-order condition y R(z) = z
+        assert json.loads(out)["gamma"] == pytest.approx(3.85877231115, rel=1e-8)
+
     def test_unknown_flag(self):
         code, _, err = invoke(["chisq", "--df", "6", "--gamma", "3", "--bogus"])
         assert code == 1

@@ -74,6 +74,52 @@ class TestLogBessel:
             asymptotic = float(_log_bessel_uniform(abs(order), z)[0])
             assert abs(series - asymptotic) <= 1e-10 * abs(series)
 
+    @pytest.mark.parametrize("order", (-0.5, -0.25, 0.0, 0.5, 1.5, 7.58, 49.3, 59.0))
+    def test_series_reduction_matches_scipy_logsumexp(self, order):
+        """The in-place reduction equals scipy's logsumexp bit for bit: on
+        single elements, on 16,384-element chunks spanning several
+        workspace blocks, and on rows with a tied peak (order 0 at z = 2
+        has two equal peak terms)."""
+        from scipy.special import gammaln, logsumexp
+
+        from umpbt.special import _log_bessel_series, _series_terms_needed
+
+        rng = np.random.default_rng(11)
+        tied = np.full(3000, 2.0)
+        tied[::7] = rng.uniform(1e-9, 700.0, tied[::7].size)
+        inputs = [np.array([z]) for z in (1e-6, 0.5, 2.0, 37.0, 699.9, 700.0)]
+        inputs += [rng.uniform(1e-9, 700.0, 16384), rng.gamma(2.0, 40.0, 16384), tied]
+        for z in inputs:
+            j = np.arange(_series_terms_needed(order, float(z.max())), dtype=float)
+            expected = np.empty_like(z)
+            # scipy reduces each row on its own; 4096-row slices bound memory
+            for start in range(0, z.size, 4096):
+                log_half = np.log(z[start:start + 4096] / 2.0)[:, None]
+                log_terms = ((order + 2.0 * j) * log_half
+                             - gammaln(order + j + 1.0) - gammaln(j + 1.0))
+                expected[start:start + 4096] = logsumexp(log_terms, axis=-1)
+            actual = _log_bessel_series(order, z)
+            assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+    def test_large_order_uses_uniform_expansion(self):
+        """Orders above ~1.16e4 would need more series terms than the budget
+        allows; those elements take the uniform expansion instead."""
+        mine = log_bessel_i(49999.0, 694.0).log_magnitude
+        oracle = oracles.log_bessel_series_mp(49999.0, 694.0, terms=60)
+        assert oracle == pytest.approx(-198521.6254769972, rel=1e-15)
+        assert abs(mine - oracle) <= 1e-13 * abs(oracle)
+
+    def test_series_budget_split_within_one_array(self):
+        """At order 11700 the series fits z = 3 and z = 350 but not z = 700:
+        one array mixes both branches, and each element equals its scalar
+        value and the extended-precision series."""
+        z = np.array([3.0, 350.0, 700.0])
+        vec = log_bessel_i_array(11700.0, z)
+        for zi, vi in zip(z, vec):
+            assert vi == log_bessel_i(11700.0, zi).log_magnitude
+            oracle = oracles.log_bessel_series_mp(11700.0, zi, terms=200)
+            assert abs(vi - oracle) <= 1e-13 * abs(oracle)
+
     def test_large_argument_against_scaled_reference(self):
         from scipy.special import ive
 
