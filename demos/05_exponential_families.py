@@ -3,12 +3,13 @@
 For a one-sided test of a point null in an exponential family, the
 evidence region for any alternative theta is bounded by a closed-form
 statistic value, and minimizing that boundary (signed by the direction of
-the natural parameter) yields the most powerful alternative.  Three canned
-models are exercised: a binomial proportion, a normal mean with known
-variance, and a normal variance with known mean.
+the natural parameter) yields the most powerful alternative: the root of
+n KL(f_theta* || f_theta0) = log gamma on the alternative side.  Three
+canned models are exercised: a binomial proportion, a normal mean with
+known variance, and a normal variance with known mean.
 
 The normal-mean case has the closed form theta* = theta0 + sigma
-sqrt(2 log(gamma) / n), against which the generic solver is checked below.
+sqrt(2 log(gamma) / n), against which the solver is checked below.
 
 Run:  python demos/05_exponential_families.py
 """

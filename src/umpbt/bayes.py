@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import DomainError
 from .special import LogValue, log_bessel_i_array
@@ -186,6 +187,18 @@ class ExpFamilyModel:
         if self.kind == "normal-mean-known-variance":
             return theta**2 / (2.0 * self.nuisance)
         return 0.5 * np.log(theta)
+
+    def kl_divergence(self, theta):
+        """KL(f_theta || f_theta0) of one observation; 0 at theta0, growing away."""
+        theta = np.asarray(theta, dtype=float)
+        t0 = self.theta0
+        if self.kind == "binomial-proportion":
+            return self.nuisance * (xlogy(theta, theta / t0)
+                                    + xlogy(1.0 - theta, (1.0 - theta) / (1.0 - t0)))
+        if self.kind == "normal-mean-known-variance":
+            return (theta - t0) ** 2 / (2.0 * self.nuisance)
+        r = theta / t0
+        return 0.5 * (r - 1.0 - np.log(r))
 
     def parameter_interval(self) -> tuple[float, float]:
         """Open interval of admissible theta values for this kind."""

@@ -5,7 +5,11 @@ increasing in the statistic y, so each alternative theta induces an upper
 rejection interval (r(theta), inf) where r(theta) is the unique root of
 g = gamma.  The alternative whose interval covers all the others is the one
 minimizing r, and this module locates it by a log-spaced scan followed by
-golden-section refinement.
+golden-section refinement.  Only the chi-squared path still searches this
+way: the benchmark gate's reference stores these golden-section values at
+1e-8, and an exact first-order-condition root moves some of them further.
+Exponential families solve their first-order condition,
+n KL(f_theta* || f_theta0) = log gamma, as one monotone root.
 
 Matching a classical test of size alpha exploits the same monotonicity the
 other way around: with y_alpha the classical critical value,
@@ -27,7 +31,7 @@ from scipy import optimize as _opt
 
 from .bayes import ChiSqTestSpec, ExpFamilyModel, _log_bf_core
 from .errors import BracketingError, DomainError, NoRootError
-from .special import chisq_quantile
+from .special import chisq_cdf, chisq_quantile
 
 __all__ = [
     "UmpbtSolution",
@@ -216,9 +220,26 @@ def _refine_minimum(objective, thetas: np.ndarray, values: np.ndarray,
     return best_theta, best_value
 
 
-def _tie_break_argmin(values: np.ndarray) -> int:
-    vmin = float(values.min())
-    return int(np.flatnonzero(values <= vmin + _TIE_TOL)[0])
+def _bracket_scan(values_at, theta_hi: float, what: str):
+    """Log-spaced scan of theta whose minimal cell is interior.
+
+    Returns (thetas, values, i0), the first minimal index within 1e-12 so
+    ties resolve to the smallest theta.  The upper edge doubles while the
+    minimum sits on it or the values still fall there; the lower edge
+    shrinks tenfold while the minimum sits on it.
+    """
+    theta_lo = _SCAN_THETA_LO
+    for _ in range(60):
+        thetas = np.geomspace(theta_lo, theta_hi, _SCAN_POINTS)
+        values = values_at(thetas)
+        i0 = int(np.flatnonzero(values <= float(values.min()) + _TIE_TOL)[0])
+        if i0 == len(thetas) - 1 or values[-1] <= values[-2]:
+            theta_hi *= 2.0
+        elif i0 == 0:
+            theta_lo /= 10.0
+        else:
+            return thetas, values, i0
+    raise BracketingError(f"could not bracket {what}")
 
 
 def solve_umpbt_chisq(spec: ChiSqTestSpec) -> UmpbtSolution:
@@ -233,26 +254,11 @@ def solve_umpbt_chisq(spec: ChiSqTestSpec) -> UmpbtSolution:
     if spec.gamma is None:
         raise DomainError("solve_umpbt_chisq requires a spec with gamma set")
     gamma, df = float(spec.gamma), float(spec.df)
-    log_gamma = math.log(gamma)
-
-    theta_lo = _SCAN_THETA_LO
-    theta_hi = 10.0 * (df + 2.0 * log_gamma)
-    for _ in range(60):
-        thetas = np.geomspace(theta_lo, theta_hi, _SCAN_POINTS)
-        r_values = rejection_boundary_grid(thetas, gamma, df)
-        i0 = _tie_break_argmin(r_values)
-        if i0 == len(thetas) - 1 or r_values[-1] <= r_values[-2]:
-            theta_hi *= 2.0
-        elif i0 == 0:
-            theta_lo /= 10.0
-        else:
-            break
-    else:
-        raise BracketingError(
-            f"could not bracket an interior minimum of r(theta) for "
-            f"gamma={gamma}, df={df}"
-        )
-
+    thetas, r_values, i0 = _bracket_scan(
+        lambda t: rejection_boundary_grid(t, gamma, df),
+        10.0 * (df + 2.0 * math.log(gamma)),
+        f"an interior minimum of r(theta) for gamma={gamma}, df={df}",
+    )
     theta_star, boundary = _refine_minimum(
         lambda t: rejection_boundary(t, gamma, df), thetas, r_values, i0
     )
@@ -273,31 +279,25 @@ def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
         raise DomainError("match_gamma_to_alpha requires a spec with alpha set")
     alpha, df = float(spec.alpha), float(spec.df)
     y_alpha = chisq_quantile(1.0 - alpha, df)
-    if y_alpha <= 0.0:
-        raise BracketingError(f"degenerate critical value for alpha={alpha}, df={df}")
+    if not y_alpha > df:
+        # d/dtheta log g(y, theta) = -1/2 + y R(z) / (2 theta) < (y/df - 1)/2
+        # with log g -> 0 as theta -> 0, so max_theta g exceeds 1 iff y > df
+        raise DomainError(
+            f"no threshold above 1 matches alpha={alpha} at df={df}: the "
+            f"critical value {y_alpha:.6g} does not exceed df; alpha must stay "
+            f"below P(chi2_df > df) = {1.0 - chisq_cdf(df, df):.4g}"
+        )
     y_arr = np.array([y_alpha])
 
     def neg_log_bf(theta: float) -> float:
         return -float(_log_bf_core(y_arr, np.array([theta]), df)[0])
 
-    theta_lo = _SCAN_THETA_LO
-    theta_hi = 4.0 * y_alpha + df + 10.0
-    for _ in range(60):
-        thetas = np.geomspace(theta_lo, theta_hi, _SCAN_POINTS)
-        values = _log_bf_core(np.full_like(thetas, y_alpha), thetas, df)
-        i0 = _tie_break_argmin(-values)
-        if i0 == len(thetas) - 1:
-            theta_hi *= 2.0
-        elif i0 == 0:
-            theta_lo /= 10.0
-        else:
-            break
-    else:
-        raise BracketingError(
-            f"could not bracket the matched threshold for alpha={alpha}, df={df}"
-        )
-
-    theta_star, neg_best = _refine_minimum(neg_log_bf, thetas, -values, i0)
+    thetas, values, i0 = _bracket_scan(
+        lambda t: -_log_bf_core(np.full_like(t, y_alpha), t, df),
+        4.0 * y_alpha + df + 10.0,
+        f"the matched threshold for alpha={alpha}, df={df}",
+    )
+    theta_star, neg_best = _refine_minimum(neg_log_bf, thetas, values, i0)
     log_gamma = -neg_best
     gamma = math.exp(log_gamma)
     if not gamma > 1.0:
@@ -329,85 +329,63 @@ def expfam_boundary(theta: float, gamma: float, model: ExpFamilyModel) -> float:
     return num / denom
 
 
-def _expfam_objective_grid(model: ExpFamilyModel, gamma: float,
-                           thetas: np.ndarray) -> np.ndarray:
-    v = model.direction_sign()
-    denom = model.eta(thetas) - float(model.eta(model.theta0))
-    num = math.log(gamma) + model.n * (
-        model.log_partition(thetas) - float(model.log_partition(model.theta0))
-    )
-    return v * num / denom
-
-
 def solve_umpbt_expfam(model: ExpFamilyModel, gamma: float) -> UmpbtSolution:
     """Most-powerful one-sided alternative for an exponential-family test.
 
-    Minimizes v * boundary(theta) over the alternative side, where v is the
-    sign of eta(theta) - eta(theta0) there.  The objective diverges at
-    theta0, so the scan starts at an offset of 1e-6 on the model's natural
-    scale and uses log-spaced offsets; unbounded sides double their span
-    while the objective still decreases at the far edge.
+    Setting the theta-derivative of the signed boundary v * y(theta) to zero
+    gives n KL(f_theta* || f_theta0) = log gamma (Johnson 2013, Ann. Statist.).
+    KL grows monotonically away from theta0, so theta* is the unique root of
+    that equation on the alternative side.  A side that ends at a finite
+    parameter edge is searched in the distance to the edge, which keeps
+    theta* precise however close to the edge it lies; when n KL at the edge
+    does not exceed log gamma no alternative reaches gamma, and the binomial
+    needs gamma < theta0^(-n m) above theta0 and (1 - theta0)^(-n m) below.
     """
     if not (gamma > 1) or not math.isfinite(gamma):
         raise DomainError(f"evidence threshold must exceed 1, got {gamma}")
-    lo_dom, hi_dom = model.parameter_interval()
-    sign = 1.0 if model.side == "greater" else -1.0
-    if model.kind == "binomial-proportion":
-        scale = min(model.theta0, 1.0 - model.theta0)
-    elif model.kind == "normal-mean-known-variance":
-        scale = math.sqrt(model.nuisance)
-    else:
-        scale = model.theta0
+    log_gamma = math.log(gamma)
+    v = model.direction_sign()
+    edge = model.parameter_interval()[1 if v > 0 else 0]
 
-    edge = hi_dom if model.side == "greater" else lo_dom
-    bounded = math.isfinite(edge)
-    if bounded:
-        span_cap = abs(edge - model.theta0) * (1.0 - 1e-9)
-    else:
-        span_cap = math.inf
-    span = scale * (4.0 + 4.0 * math.sqrt(2.0 * math.log(gamma) / model.n))
-    span = min(span, span_cap)
-    delta = 1e-6 * scale
+    def excess(t: float) -> float:
+        return model.n * float(model.kl_divergence(base + step * t)) - log_gamma
 
-    for _ in range(60):
-        offsets = np.geomspace(delta, span, _SCAN_POINTS)
-        thetas = model.theta0 + sign * offsets
-        values = _expfam_objective_grid(model, gamma, thetas)
-        i0 = _tie_break_argmin(values)
-        if i0 == len(thetas) - 1 and not bounded:
-            span *= 2.0
-        elif i0 == 0:
-            delta /= 10.0
+    # the bracket may probe log(0), inf - inf or overflow; the check below
+    # turns those into a domain error
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if math.isfinite(edge):
+            base, step, factor = edge, -v, 0.1
+            edge_kl = model.n * float(model.kl_divergence(edge))
+            if not edge_kl > log_gamma:
+                raise DomainError(
+                    f"no {model.side!r} alternative of {model.kind} reaches "
+                    f"gamma={gamma}: n*KL(theta||theta0) tends to {edge_kl:.10g} "
+                    f"at the parameter edge {edge:g}, so gamma must stay below "
+                    f"{math.exp(edge_kl):.10g}"
+                )
+            near = far = abs(edge - model.theta0)
         else:
-            break
-    else:
-        raise BracketingError(
-            f"could not bracket the objective minimum for {model.kind} "
-            f"(side={model.side}, gamma={gamma})"
+            base, step, factor = model.theta0, v, 10.0
+            near = far = 1.0
+            while excess(near) > 0.0:
+                far, near = near, 0.1 * near
+        # widen by decades until [far, near] brackets the root
+        while (far_excess := excess(far)) <= 0.0:
+            near, far = far, far * factor
+    if not math.isfinite(far_excess):
+        raise DomainError(
+            f"theta* for gamma={gamma} lies beyond what double precision "
+            f"resolves on the {model.side!r} side of theta0={model.theta0}"
         )
 
-    def objective(theta: float) -> float:
-        return model.direction_sign() * expfam_boundary(theta, gamma, model)
-
-    lo_cell = thetas[max(i0 - 1, 0)]
-    hi_cell = thetas[min(i0 + 1, len(thetas) - 1)]
-    a, b = (lo_cell, hi_cell) if lo_cell <= hi_cell else (hi_cell, lo_cell)
-    tol = _REFINE_TOL * (1.0 + abs(thetas[i0]))
-    theta_star, best = _golden_min(objective, float(a), float(b), tol)
-    beat = np.flatnonzero(values < best - _TIE_TOL * (1.0 + abs(best)))
-    for j in beat[:8]:
-        a2 = thetas[max(j - 1, 0)]
-        b2 = thetas[min(j + 1, len(thetas) - 1)]
-        a2, b2 = (a2, b2) if a2 <= b2 else (b2, a2)
-        x, fx = _golden_min(objective, float(a2), float(b2),
-                            _REFINE_TOL * (1.0 + abs(thetas[j])))
-        if fx < best - _TIE_TOL:
-            theta_star, best = x, fx
-
-    v = model.direction_sign()
+    # xtol is negligible, so the relative tolerance alone ends the search
+    finfo = np.finfo(float)
+    t_star = _opt.brentq(excess, far, near, xtol=finfo.smallest_subnormal,
+                         rtol=4 * finfo.eps)
+    theta_star = base + step * t_star
     return UmpbtSolution(
-        theta_star=float(theta_star),
-        boundary=expfam_boundary(float(theta_star), gamma, model),
+        theta_star=theta_star,
+        boundary=expfam_boundary(theta_star, gamma, model),
         gamma=float(gamma),
         direction=v,
         df=None,

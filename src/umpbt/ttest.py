@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .solver import _golden_min
 
 __all__ = [
     "TTestSetting",
@@ -196,23 +197,6 @@ def t_rejection_prob(theta: float, theta_t: float, setting: TTestSetting,
     return _rejection_rate(ybar, u_stat, theta, setting)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
 def _argmax_for(theta_t: float, setting: TTestSetting, n_draws: int,
                 seed: int) -> tuple[TTestArgmax, float]:
     ybar, u_stat = _dataset_stats(theta_t, setting, n_draws, seed)
@@ -237,10 +221,10 @@ def _argmax_for(theta_t: float, setting: TTestSetting, n_draws: int,
         # unique maximal cell: refine it on the common-random-number surface
         a = float(grid[max(lo_idx - 1, 0)])
         b = float(grid[min(hi_idx + 1, len(grid) - 1)])
-        x, fx = _golden_max(lambda t: _rejection_rate(ybar, u_stat, t, setting),
-                            a, b, step * 1e-3)
+        x, neg_max = _golden_min(lambda t: -_rejection_rate(ybar, u_stat, t, setting),
+                                 a, b, step * 1e-3)
         row = TTestArgmax(theta_t=theta_t, argmax_theta=float(x),
-                          max_prob=float(fx), plateau_lo=float(x),
+                          max_prob=-float(neg_max), plateau_lo=float(x),
                           plateau_hi=float(x))
     else:
         # the empirical maximum is attained on a plateau of exact ties

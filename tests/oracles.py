@@ -128,3 +128,45 @@ def normal_mean_theta_star(theta0: float, sigma2: float, n: int, gamma: float,
     """Closed-form alternative for the known-variance normal mean test."""
     shift = math.sqrt(2.0 * sigma2 * math.log(gamma) / n)
     return theta0 + shift if side == "greater" else theta0 - shift
+
+
+def normal_variance_theta_star_mp(theta0: float, n: int, gamma: float,
+                                  side: str) -> float:
+    """Root of r - 1 - log r = 2 log(gamma) / n in r = theta / theta0 (mpmath).
+
+    The root lies in [e^(-1-c), e^(-c)] below 1 and in [1 + c, 2 (1 + c)]
+    above it, where c = 2 log(gamma) / n.
+    """
+    with mp.workdps(50):
+        c = 2 * mp.log(mp.mpf(gamma)) / n
+        if side == "greater":
+            bracket = (1 + c, 2 * (1 + c))
+        else:
+            bracket = (mp.exp(-1 - c), mp.exp(-c))
+        r = mp.findroot(lambda x: x - 1 - mp.log(x) - c, bracket, solver="anderson")
+        return float(r * mp.mpf(theta0))
+
+
+def binomial_theta_star_mp(theta0: float, trials: int, n: int, gamma: float,
+                           side: str) -> float:
+    """Root of n m KL(Bernoulli(theta) || Bernoulli(theta0)) = log gamma.
+
+    Bisection in 50-digit mpmath between theta0 and the parameter edge; the
+    caller keeps gamma below the edge bound so the root is interior.
+    """
+    with mp.workdps(50):
+        t0, target = mp.mpf(theta0), mp.log(mp.mpf(gamma))
+
+        def excess(t):
+            kl = t * mp.log(t / t0) + (1 - t) * mp.log((1 - t) / (1 - t0))
+            return n * trials * kl - target
+
+        edge = mp.mpf(1) if side == "greater" else mp.mpf(0)
+        lo, hi = t0, edge
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if excess(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from umpbt import BracketingError, cli
 from umpbt.cli import render_plain, run
 
 WHITE_CSV = str(Path(__file__).resolve().parent.parent / "data" / "white.csv")
@@ -57,10 +58,19 @@ class TestChisqCommand:
         assert code == 1
         assert "error: usage:" in err
 
-    def test_solver_failure_exits_two(self):
-        code, _, err = invoke(["chisq", "--df", "6", "--alpha", "0.99"])
+    def test_solver_failure_exits_two(self, monkeypatch):
+        def fail(spec):
+            raise BracketingError("could not bracket the matched threshold")
+
+        monkeypatch.setattr(cli, "match_gamma_to_alpha", fail)
+        code, _, err = invoke(["chisq", "--df", "6", "--alpha", "0.05"])
         assert code == 2
         assert err.startswith("error: solver:")
+
+    def test_unattainable_alpha_exits_one(self):
+        code, out, err = invoke(["chisq", "--df", "6", "--alpha", "0.99"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: domain:")
 
     def test_large_df_alpha_mode(self):
         """df = 1e5 puts the Bessel order near 5e4, beyond the series' term
@@ -148,6 +158,14 @@ class TestExpfamCommand:
                                "--n", "5", "--gamma", "3", "--side", "greater"])
         assert code == 1
         assert "usage" in err
+
+    def test_unreachable_threshold_exits_one(self):
+        code, out, err = invoke(["expfam", "--model", "binomial-proportion",
+                                 "--theta0", "0.5", "--n", "1", "--gamma", "100",
+                                 "--side", "greater"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: domain:")
+        assert "gamma must stay below 2" in err
 
 
 class TestPowerCommand:

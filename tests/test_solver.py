@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from umpbt import (
-    BracketingError,
     ChiSqTestSpec,
     CurvePoint,
     DomainError,
@@ -149,7 +148,7 @@ class TestMatchGammaToAlpha:
 
     def test_unattainable_alpha(self):
         # the 10% lower quantile sits below the null mean: no threshold above 1
-        with pytest.raises(BracketingError):
+        with pytest.raises(DomainError, match=r"P\(chi2_df > df\) = 0\.4232"):
             match_gamma_to_alpha(ChiSqTestSpec(df=6.0, alpha=0.9))
 
     def test_requires_alpha(self):
@@ -255,6 +254,70 @@ class TestSolveExpFamily:
         with pytest.raises(DomainError):
             solve_umpbt_expfam(model, 1.0)
 
+    def test_normal_mean_exact_closed_form(self):
+        for side, sign in (("greater", 1.0), ("less", -1.0)):
+            model = ExpFamilyModel(kind="normal-mean-known-variance", theta0=0.0,
+                                   n=5, side=side, nuisance=1.0)
+            sol = solve_umpbt_expfam(model, 3.0)
+            assert sol.theta_star == pytest.approx(sign * 0.6629064153161,
+                                                   rel=1e-12, abs=0.0)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            theta0 = float(rng.normal(0.0, 3.0))
+            sigma2 = float(np.exp(rng.uniform(-3.0, 3.0)))
+            n = int(rng.integers(1, 60))
+            gamma = float(np.exp(rng.uniform(0.01, 6.0)))
+            side = "greater" if rng.random() < 0.5 else "less"
+            model = ExpFamilyModel(kind="normal-mean-known-variance", theta0=theta0,
+                                   n=n, side=side, nuisance=sigma2)
+            oracle = oracles.normal_mean_theta_star(theta0, sigma2, n, gamma, side)
+            assert solve_umpbt_expfam(model, gamma).theta_star == pytest.approx(
+                oracle, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("side", ["greater", "less"])
+    @pytest.mark.parametrize("theta0,n,gamma", [(1.0, 6, 4.0), (2.0, 7, 1.05),
+                                                (0.3, 1, 40.0), (5.0, 30, 1e3)])
+    def test_normal_variance_against_mpmath_root(self, side, theta0, n, gamma):
+        model = ExpFamilyModel(kind="normal-variance-known-mean", theta0=theta0, n=n,
+                               side=side, nuisance=0.0)
+        oracle = oracles.normal_variance_theta_star_mp(theta0, n, gamma, side)
+        assert solve_umpbt_expfam(model, gamma).theta_star == pytest.approx(
+            oracle, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("side", ["greater", "less"])
+    @pytest.mark.parametrize("theta0,trials,n,gamma", [(0.5, 1, 20, 3.0),
+                                                       (0.3, 2, 9, 20.0),
+                                                       (0.05, 1, 200, 1.5),
+                                                       (0.9, 3, 4, 1.2)])
+    def test_binomial_against_mpmath_root(self, side, theta0, trials, n, gamma):
+        model = ExpFamilyModel(kind="binomial-proportion", theta0=theta0, n=n,
+                               side=side, nuisance=float(trials))
+        oracle = oracles.binomial_theta_star_mp(theta0, trials, n, gamma, side)
+        assert solve_umpbt_expfam(model, gamma).theta_star == pytest.approx(
+            oracle, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("side", ["greater", "less"])
+    def test_binomial_threshold_beyond_edge_bound(self, side):
+        """n KL tends to log 2 at either edge for theta0 = 1/2, n m = 1, so no
+        alternative reaches gamma = 100: the bound is gamma < 2."""
+        model = ExpFamilyModel(kind="binomial-proportion", theta0=0.5, n=1,
+                               side=side, nuisance=1.0)
+        with pytest.raises(DomainError, match=r"gamma must stay below 2\b"):
+            solve_umpbt_expfam(model, 100.0)
+
+    def test_normal_variance_root_next_to_edge(self):
+        model = ExpFamilyModel(kind="normal-variance-known-mean", theta0=1.0, n=1,
+                               side="less", nuisance=0.0)
+        sol = solve_umpbt_expfam(model, 1e5)
+        oracle = oracles.normal_variance_theta_star_mp(1.0, 1, 1e5, "less")
+        assert sol.theta_star == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        assert sol.theta_star == pytest.approx(3.6788e-11, rel=1e-4)
+        assert sol.boundary > 0.0
+        # deeper still: log r = r - 1 - 2 log(gamma) / n and e^r rounds to 1
+        deep = solve_umpbt_expfam(model, 1e150)
+        assert deep.theta_star == pytest.approx(math.exp(-1.0) * 1e-300,
+                                                rel=1e-12, abs=0.0)
+
 
 class TestGammaVsDfCurve:
     def test_consistency_with_match(self):
@@ -279,7 +342,7 @@ class TestGammaVsDfCurve:
                         (3.0, 0.05), (3.0, 0.01)]
 
     def test_failure_carries_offending_pair(self):
-        with pytest.raises(BracketingError, match=r"df=1, alpha=0.9"):
+        with pytest.raises(DomainError, match=r"df=1, alpha=0.9"):
             gamma_vs_df_curve([0.9], 2)
 
     def test_validation(self):
