@@ -188,6 +188,13 @@ class ExpFamilyModel:
             return theta**2 / (2.0 * self.nuisance)
         return 0.5 * np.log(theta)
 
+    def mean_statistic(self, theta):
+        """Mean E_theta[T(x)] of one observation's sufficient statistic."""
+        theta = np.asarray(theta, dtype=float)
+        if self.kind == "binomial-proportion":
+            return self.nuisance * theta
+        return theta
+
     def kl_divergence(self, theta):
         """KL(f_theta || f_theta0) of one observation; 0 at theta0, growing away."""
         theta = np.asarray(theta, dtype=float)

@@ -5,9 +5,13 @@ increasing in the statistic y, so each alternative theta induces an upper
 rejection interval (r(theta), inf) where r(theta) is the unique root of
 g = gamma.  The alternative whose interval covers all the others is the one
 minimizing r, and this module locates it by a log-spaced scan followed by
-golden-section refinement.  Only the chi-squared path still searches this
-way: the benchmark gate's reference stores these golden-section values at
-1e-8, and an exact first-order-condition root moves some of them further.
+one golden section on the minimal scan cell.  That finds the minimum: at
+fixed y, d/dtheta log g = -1/2 + z R(z) / (2 theta), with z = sqrt(theta y)
+and R = I_{df/2} / I_{df/2-1}, vanishes only where y R(z) = z, so log g is
+unimodal in theta and r(theta) is quasi-convex.  Solving that first-order
+condition directly would drop the scan, but the benchmark gate's reference
+stores the golden-section theta* at 1e-8, and the exact root moves some of
+them further; so only the chi-squared path still searches this way.
 Exponential families solve their first-order condition,
 n KL(f_theta* || f_theta0) = log gamma, as one monotone root.
 
@@ -131,9 +135,21 @@ def _check_boundary_args(theta: float, gamma: float, df: float) -> None:
         )
 
 
-def _bracket_high(theta: np.ndarray, log_gamma: float, df: float) -> np.ndarray:
-    z_up = theta / 2.0 + log_gamma + df + 12.0
-    return np.maximum(4.0 * z_up**2 / theta, df + 4.0 * log_gamma + 40.0)
+def _upper_bracket(thetas: np.ndarray, log_gamma: float, df: float) -> np.ndarray:
+    """Upper ends y with log g(y, theta) >= log gamma, one per alternative.
+
+    Each end starts from a closed-form guess and is multiplied by 4 while
+    it still falls short; both boundary solvers bracket their root with it.
+    """
+    z_up = thetas / 2.0 + log_gamma + df + 12.0
+    hi = np.maximum(4.0 * z_up**2 / thetas, df + 4.0 * log_gamma + 40.0)
+    for _ in range(200):
+        short = _log_bf_core(hi, thetas, df) < log_gamma
+        if not np.any(short):
+            return hi
+        hi = np.where(short, hi * 4.0, hi)
+    raise NoRootError(  # pragma: no cover - g is unbounded in y
+        "failed to bracket the rejection boundary from above")
 
 
 def rejection_boundary_grid(thetas: np.ndarray, gamma: float, df: float) -> np.ndarray:
@@ -147,18 +163,8 @@ def rejection_boundary_grid(thetas: np.ndarray, gamma: float, df: float) -> np.n
         _check_boundary_args(float(t), gamma, df)
     log_gamma = math.log(gamma)
 
-    lo = np.full_like(thetas, 1e-12)
-    hi = _bracket_high(thetas, log_gamma, df)
-    for _ in range(200):
-        short = _log_bf_core(hi, thetas, df) < log_gamma
-        if not np.any(short):
-            break
-        hi = np.where(short, hi * 4.0, hi)
-    else:  # pragma: no cover - g is unbounded in y
-        raise NoRootError("failed to bracket the rejection boundary from above")
-
-    a = np.log(lo)
-    b = np.log(hi)
+    a = np.log(np.full_like(thetas, 1e-12))
+    b = np.log(_upper_bracket(thetas, log_gamma, df))
     while float(np.max(b - a)) > 1e-12:
         mid = 0.5 * (a + b)
         below = _log_bf_core(np.exp(mid), thetas, df) < log_gamma
@@ -180,53 +186,20 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
     def f(y: float) -> float:
         return float(_log_bf_core(np.array([y]), theta_arr, df)[0]) - log_gamma
 
-    lo = 1e-12
-    hi = float(_bracket_high(theta_arr, log_gamma, df)[0])
-    for _ in range(200):
-        if f(hi) >= 0.0:
-            break
-        hi *= 4.0
-    else:  # pragma: no cover - g is unbounded in y
-        raise NoRootError("failed to bracket the rejection boundary from above")
-    return float(_opt.brentq(f, lo, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps,
+    hi = float(_upper_bracket(theta_arr, log_gamma, df)[0])
+    return float(_opt.brentq(f, 1e-12, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps,
                              maxiter=200))
 
 
-def _refine_minimum(objective, thetas: np.ndarray, values: np.ndarray,
-                    index: int) -> tuple[float, float]:
-    """Golden-refine the minimal scan cell; re-refine any cell that beats it.
+def _scan_minimum(values_at, value_at, theta_hi: float, what: str):
+    """Minimum (theta, value) of a unimodal objective of theta > 0.
 
-    Ties within 1e-12 resolve to the smallest theta so results are
-    deterministic.
-    """
-    visited = set()
-    i = index
-    best_theta, best_value = math.nan, math.inf
-    for _ in range(8):
-        visited.add(i)
-        a = thetas[max(i - 1, 0)]
-        b = thetas[min(i + 1, len(thetas) - 1)]
-        tol = _REFINE_TOL * (1.0 + thetas[i])
-        x, fx = _golden_min(objective, float(a), float(b), tol)
-        if fx < best_value - _TIE_TOL or (abs(fx - best_value) <= _TIE_TOL
-                                          and x < best_theta):
-            best_theta, best_value = x, fx
-        # post-hoc global check: no scanned point may beat the refined minimum
-        beating = np.flatnonzero(values < best_value - _TIE_TOL * (1.0 + abs(best_value)))
-        beating = [j for j in beating if j not in visited]
-        if not beating:
-            break
-        i = int(beating[int(np.argmin(values[beating]))])
-    return best_theta, best_value
-
-
-def _bracket_scan(values_at, theta_hi: float, what: str):
-    """Log-spaced scan of theta whose minimal cell is interior.
-
-    Returns (thetas, values, i0), the first minimal index within 1e-12 so
-    ties resolve to the smallest theta.  The upper edge doubles while the
-    minimum sits on it or the values still fall there; the lower edge
-    shrinks tenfold while the minimum sits on it.
+    A 200-point log-spaced scan ``values_at`` finds a minimal cell, the
+    first index within 1e-12 so ties resolve to the smallest theta; the
+    upper edge doubles while the minimum sits on it or the values still
+    fall there, and the lower edge shrinks tenfold while the minimum sits
+    on it.  The scalar ``value_at`` is then golden-refined over the two
+    cells around it to bracket width 1e-8 (1 + theta).
     """
     theta_lo = _SCAN_THETA_LO
     for _ in range(60):
@@ -238,7 +211,8 @@ def _bracket_scan(values_at, theta_hi: float, what: str):
         elif i0 == 0:
             theta_lo /= 10.0
         else:
-            return thetas, values, i0
+            return _golden_min(value_at, float(thetas[i0 - 1]), float(thetas[i0 + 1]),
+                               _REFINE_TOL * (1.0 + thetas[i0]))
     raise BracketingError(f"could not bracket {what}")
 
 
@@ -247,20 +221,17 @@ def solve_umpbt_chisq(spec: ChiSqTestSpec) -> UmpbtSolution:
 
     Minimizes the rejection boundary r(theta) over theta > 0 with a
     200-point log-spaced scan (the upper scan edge starts at
-    10 (df + 2 log gamma) and doubles while r still decreases there),
-    golden-section refinement to bracket width 1e-8 (1 + theta), and a
-    global check that no scanned point beats the refined minimum.
+    10 (df + 2 log gamma) and doubles while r still decreases there)
+    and golden-section refinement to bracket width 1e-8 (1 + theta).
     """
     if spec.gamma is None:
         raise DomainError("solve_umpbt_chisq requires a spec with gamma set")
     gamma, df = float(spec.gamma), float(spec.df)
-    thetas, r_values, i0 = _bracket_scan(
+    theta_star, boundary = _scan_minimum(
         lambda t: rejection_boundary_grid(t, gamma, df),
+        lambda t: rejection_boundary(t, gamma, df),
         10.0 * (df + 2.0 * math.log(gamma)),
         f"an interior minimum of r(theta) for gamma={gamma}, df={df}",
-    )
-    theta_star, boundary = _refine_minimum(
-        lambda t: rejection_boundary(t, gamma, df), thetas, r_values, i0
     )
     return UmpbtSolution(theta_star=theta_star, boundary=boundary, gamma=gamma,
                          direction=1, df=df)
@@ -292,20 +263,13 @@ def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
     def neg_log_bf(theta: float) -> float:
         return -float(_log_bf_core(y_arr, np.array([theta]), df)[0])
 
-    thetas, values, i0 = _bracket_scan(
+    theta_star, neg_best = _scan_minimum(
         lambda t: -_log_bf_core(np.full_like(t, y_alpha), t, df),
+        neg_log_bf,
         4.0 * y_alpha + df + 10.0,
         f"the matched threshold for alpha={alpha}, df={df}",
     )
-    theta_star, neg_best = _refine_minimum(neg_log_bf, thetas, values, i0)
-    log_gamma = -neg_best
-    gamma = math.exp(log_gamma)
-    if not gamma > 1.0:
-        raise BracketingError(
-            f"no threshold above 1 matches alpha={alpha} at df={df}: the "
-            f"critical value {y_alpha:.6g} is not in the evidence region"
-        )
-    return UmpbtSolution(theta_star=theta_star, boundary=y_alpha, gamma=gamma,
+    return UmpbtSolution(theta_star=theta_star, boundary=y_alpha, gamma=math.exp(-neg_best),
                          direction=1, df=df)
 
 
@@ -383,9 +347,11 @@ def solve_umpbt_expfam(model: ExpFamilyModel, gamma: float) -> UmpbtSolution:
     t_star = _opt.brentq(excess, far, near, xtol=finfo.smallest_subnormal,
                          rtol=4 * finfo.eps)
     theta_star = base + step * t_star
+    # n KL = log gamma at theta*, so the boundary [log gamma + n dA] / d eta
+    # reduces to n E_theta*[T] and needs no differences near theta0
     return UmpbtSolution(
         theta_star=theta_star,
-        boundary=expfam_boundary(theta_star, gamma, model),
+        boundary=model.n * float(model.mean_statistic(theta_star)),
         gamma=float(gamma),
         direction=v,
         df=None,

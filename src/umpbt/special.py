@@ -331,6 +331,8 @@ def sample_noncentral_chisq(dist: NoncentralChiSq, n: int, seed: int) -> np.ndar
     """
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {n}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     k = rng.poisson(dist.noncentrality / 2.0, size=n)
     return rng.gamma(dist.df / 2.0 + k, 2.0)

@@ -154,6 +154,8 @@ def t_region(theta: float, u_stat: float, setting: TTestSetting) -> QuadraticReg
 
 def _seed_for(seed: int, theta_t: float) -> list[int]:
     """Derive a per-theta_t stream: equal theta_t values share datasets."""
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     bits = int(np.array(float(theta_t), dtype=np.float64).view(np.uint64))
     return [int(seed), bits]
 

@@ -72,6 +72,13 @@ class TestChisqCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: domain:")
 
+    def test_near_bound_alpha_exits_one(self):
+        """alpha just inside P(chi2_df > df): the matched threshold rounds to
+        gamma = 1, which no test accepts, so the input is out of domain."""
+        code, out, err = invoke(["chisq", "--df", "1000", "--alpha", "0.49405285"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: domain:")
+
     def test_large_df_alpha_mode(self):
         """df = 1e5 puts the Bessel order near 5e4, beyond the series' term
         budget; the uniform expansion carries the solve."""
@@ -197,6 +204,12 @@ class TestPowerCommand:
         assert code == 1
         assert err.startswith("error: domain:")
 
+    def test_negative_seed_exits_one(self):
+        code, out, err = invoke(["power", "--df", "6", "--gamma", "3.46",
+                                 "--mc", "10", "--seed", "-1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: domain:")
+
 
 class TestCurveCommand:
     def test_writes_plot_ready_csv(self, tmp_path):
@@ -237,6 +250,12 @@ class TestTtestDemoCommand:
         assert record["nonexistence"] == "true"
         assert len(rows) == 2
         assert float(rows[0]["argmax_theta"]) < float(rows[1]["argmax_theta"])
+
+    def test_negative_seed_exits_one(self):
+        code, out, err = invoke(["ttest-demo", "--n", "10", "--gamma", "3",
+                                 "--theta-t", "2,4", "--seed", "-1", "--draws", "100"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: domain:")
 
 
 class TestOutputContract:

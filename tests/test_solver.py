@@ -318,6 +318,17 @@ class TestSolveExpFamily:
         assert deep.theta_star == pytest.approx(math.exp(-1.0) * 1e-300,
                                                 rel=1e-12, abs=0.0)
 
+    def test_boundary_free_of_cancellation_near_theta0(self):
+        """theta* sits 9e-11 below theta0 = 3: the boundary must be n theta*,
+        below n theta0, not a difference of nearly equal A and eta values."""
+        model = ExpFamilyModel(kind="normal-mean-known-variance", theta0=3.0, n=1,
+                               side="less", nuisance=1e-20)
+        sol = solve_umpbt_expfam(model, 1.5)
+        exact = 3.0 - math.sqrt(2e-20 * math.log(1.5))
+        assert sol.theta_star == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert sol.boundary == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert sol.boundary < 3.0
+
 
 class TestGammaVsDfCurve:
     def test_consistency_with_match(self):
