@@ -188,6 +188,21 @@ class ExpFamilyModel:
             return theta**2 / (2.0 * self.nuisance)
         return 0.5 * np.log(theta)
 
+    def differences_from_null(self, theta: float) -> tuple[float, float]:
+        """eta(theta) - eta(theta0) and A(theta) - A(theta0), formed from theta - theta0.
+
+        Subtracting the two values instead would cancel when theta sits
+        within a few ulps of theta0 on a large scale.
+        """
+        t0 = self.theta0
+        d = theta - t0
+        if self.kind == "binomial-proportion":
+            log_fail_ratio = math.log1p(-d / (1.0 - t0))  # log((1-theta)/(1-theta0))
+            return math.log1p(d / t0) - log_fail_ratio, -self.nuisance * log_fail_ratio
+        if self.kind == "normal-mean-known-variance":
+            return d / self.nuisance, d * (theta + t0) / (2.0 * self.nuisance)
+        return 0.5 * d / theta / t0, 0.5 * math.log1p(d / t0)
+
     def mean_statistic(self, theta):
         """Mean E_theta[T(x)] of one observation's sufficient statistic."""
         theta = np.asarray(theta, dtype=float)
@@ -246,8 +261,5 @@ def expfam_log_bf(y: float, theta: float, model: ExpFamilyModel) -> float:
     model.check_alternative(theta, allow_null=True)
     if theta == model.theta0:
         return 0.0
-    a0 = float(model.log_partition(model.theta0))
-    a1 = float(model.log_partition(theta))
-    e0 = float(model.eta(model.theta0))
-    e1 = float(model.eta(theta))
-    return model.n * (a0 - a1) + y * (e1 - e0)
+    d_eta, d_a = model.differences_from_null(theta)
+    return y * d_eta - model.n * d_a

@@ -12,7 +12,6 @@ attempted.
 from __future__ import annotations
 
 import io
-import math
 from csv import reader as _csv_reader
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ import numpy as np
 from .bayes import ChiSqTestSpec, log_bf_ncchisq
 from .errors import DegenerateMarginError, DomainError, ParseError, ValidationError
 from .solver import match_gamma_to_alpha
+from .special import LogValue
 
 __all__ = [
     "ContingencyTable",
@@ -94,7 +94,8 @@ class IndependenceResult:
 
     @property
     def bf(self) -> float:
-        return math.exp(self.log_bf)
+        """Linear-scale Bayes factor; raises OverflowError beyond double range."""
+        return LogValue(self.log_bf).exp()
 
 
 def parse_table(source, has_header: bool = False,

@@ -281,16 +281,13 @@ def expfam_boundary(theta: float, gamma: float, model: ExpFamilyModel) -> float:
     if not (gamma > 1) or not math.isfinite(gamma):
         raise DomainError(f"evidence threshold must exceed 1, got {gamma}")
     model.check_alternative(theta)
-    denom = float(model.eta(theta)) - float(model.eta(model.theta0))
-    if denom == 0.0:
+    d_eta, d_a = model.differences_from_null(theta)
+    if d_eta == 0.0:
         raise DomainError(
             f"natural parameter takes the same value at theta={theta} and "
             f"theta0={model.theta0}; the boundary is undefined"
         )
-    num = math.log(gamma) + model.n * (
-        float(model.log_partition(theta)) - float(model.log_partition(model.theta0))
-    )
-    return num / denom
+    return (math.log(gamma) + model.n * d_a) / d_eta
 
 
 def solve_umpbt_expfam(model: ExpFamilyModel, gamma: float) -> UmpbtSolution:

@@ -12,6 +12,7 @@ global random stream anywhere in the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,13 +91,29 @@ def _series_terms_needed(order: float, z_max: float) -> int:
     return int(math.ceil(j_peak + 9.0 * math.sqrt(j_peak + abs(order) + 10.0) + 20.0))
 
 
+@functools.lru_cache(maxsize=64)
+def _series_table(order: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponents 2j+order, log Gamma(order+j+1) and log j! for j < _SERIES_TERM_CAP.
+
+    Built once per order; a prefix of the table holds exactly the values an
+    ``arange`` of that length would give, because every entry is computed
+    elementwise.  Read-only, since every caller shares it.
+    """
+    j = np.arange(_SERIES_TERM_CAP, dtype=float)
+    table = (order + 2.0 * j, _sp.gammaln(order + j + 1.0), _sp.gammaln(j + 1.0))
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
 def _log_bessel_series(order: float, z: np.ndarray) -> np.ndarray:
-    """log I_order(z) by the ascending power series, 0 < z <= 700.
+    """log I_order(z) by the ascending power series, for a 1-D z in (0, 700].
 
     The series sum_j (z/2)^(2j+order) / (Gamma(order+j+1) j!) is evaluated
-    entirely in log scale: term logs follow from successive ratios of the
-    gamma factors, and a max-shifted log-sum-exp collapses them so the peak
-    term (which exceeds linear range near z = 700) never materializes.
+    entirely in log scale: each term's log is (2j+order) log(z/2) less the
+    log-gamma factors, which come from the order's cached ``_series_table``,
+    and a max-shifted log-sum-exp collapses them so the peak term (which
+    exceeds linear range near z = 700) never materializes.
 
     The reduction runs in place over one workspace of ``_SERIES_BLOCK``
     rows, so a 16,384-draw Monte Carlo chunk never holds its full term
@@ -113,10 +130,9 @@ def _log_bessel_series(order: float, z: np.ndarray) -> np.ndarray:
             f"Bessel series needs {n_terms} terms for z={z.max():.3g} "
             f"(budget {_SERIES_TERM_CAP})"
         )
-    j = np.arange(n_terms, dtype=float)
-    powers = order + 2.0 * j
-    log_gamma_order = _sp.gammaln(order + j + 1.0)
-    log_factorial = _sp.gammaln(j + 1.0)
+    powers, log_gamma_order, log_factorial = (
+        column[:n_terms] for column in _series_table(order)
+    )
     log_half = np.log(z / 2.0)
     out = np.empty_like(log_half)
     work = np.empty((min(z.size, _SERIES_BLOCK), n_terms))
@@ -161,7 +177,9 @@ def _log_bessel_uniform(order: float, z: np.ndarray) -> np.ndarray:
         - 446185740.0 * t2**3
         + 185910725.0 * t2**4
     ) / 39813120.0
-    correction = 1.0 + v1 / kappa + v2 / kappa**2 + v3 / kappa**3 + v4 / kappa**4
+    # kappa**4 overflows above ~1e77, where its term is 0 either way
+    with np.errstate(over="ignore"):
+        correction = 1.0 + v1 / kappa + v2 / kappa**2 + v3 / kappa**3 + v4 / kappa**4
     exponent = kappa + nu * np.log(z / (nu + kappa))
     return exponent - 0.5 * np.log(2.0 * math.pi * kappa) + np.log(correction)
 
@@ -176,8 +194,16 @@ def log_bessel_i_array(order: float, z: np.ndarray) -> np.ndarray:
     if not (order > -1.0):
         raise DomainError(f"Bessel order must exceed -1, got {order}")
     z = np.asarray(z, dtype=float)
-    if (z < 0).any() or not np.isfinite(z).all():
-        raise DomainError("Bessel argument must be finite and nonnegative")
+    if z.size:
+        lo, hi = z.min(), z.max()
+        if not (lo >= 0.0 and math.isfinite(hi)):
+            raise DomainError("Bessel argument must be finite and nonnegative")
+        if lo > 0.0 and hi <= _SERIES_Z_MAX and (
+            _series_terms_needed(order, hi) <= _SERIES_TERM_CAP
+        ):
+            # every element takes the series, which the masks below would
+            # hand the same values in the same order
+            return _log_bessel_series(order, z.ravel()).reshape(z.shape)
 
     out = np.empty_like(z)
     zero = z == 0.0

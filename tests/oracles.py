@@ -170,3 +170,20 @@ def binomial_theta_star_mp(theta0: float, trials: int, n: int, gamma: float,
             else:
                 hi = mid
         return float((lo + hi) / 2)
+
+
+def expfam_boundary_mp(theta: float, gamma: float, kind: str, theta0: float, n: int,
+                       nuisance: float) -> float:
+    """[log gamma + n (A(theta) - A(theta0))] / [eta(theta) - eta(theta0)] in
+    50-digit mpmath, with eta and A taken straight from their definitions."""
+    with mp.workdps(50):
+        def eta_and_a(t):
+            t = mp.mpf(t)
+            if kind == "binomial-proportion":
+                return mp.log(t) - mp.log(1 - t), -nuisance * mp.log(1 - t)
+            if kind == "normal-mean-known-variance":
+                return t / nuisance, t**2 / (2 * mp.mpf(nuisance))
+            return -1 / (2 * t), mp.log(t) / 2
+
+        (e1, a1), (e0, a0) = eta_and_a(theta), eta_and_a(theta0)
+        return float((mp.log(mp.mpf(gamma)) + n * (a1 - a0)) / (e1 - e0))

@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ import pytest
 from umpbt import BracketingError, cli
 from umpbt.cli import render_plain, run
 
-WHITE_CSV = str(Path(__file__).resolve().parent.parent / "data" / "white.csv")
+ROOT = Path(__file__).resolve().parent.parent
+WHITE_CSV = str(ROOT / "data" / "white.csv")
 
 
 def invoke(argv):
@@ -117,6 +121,15 @@ class TestBfCommand:
         assert float(record["bf"]) > 1.0
 
 
+    @pytest.mark.parametrize("fmt", ([], ["--json"]))
+    def test_overflowing_bayes_factor_exits_one(self, fmt):
+        code, out, err = invoke(["bf", "--df", "6", "--stat", "1e300",
+                                 "--alpha", "0.05"] + fmt)
+        assert code == 1 and out == ""
+        assert err == ("error: domain: linear value exp(2.70405e+150) "
+                       "overflows double precision\n")
+
+
 class TestContingencyCommand:
     def test_worked_example(self):
         code, out, err = invoke(["contingency", WHITE_CSV, "--alpha", "0.05",
@@ -148,6 +161,16 @@ class TestContingencyCommand:
         code, _, err = invoke(["contingency", str(bad)])
         assert code == 1
         assert err.startswith("error: validation:")
+
+
+    @pytest.mark.parametrize("fmt", ([], ["--json"]))
+    def test_overflowing_bayes_factor_exits_one(self, tmp_path, fmt):
+        table = tmp_path / "lopsided.csv"
+        table.write_text("a,b\n100000000,1\n1,100000000\n")
+        code, out, err = invoke(["contingency", str(table), "--header"] + fmt)
+        assert code == 1 and out == ""
+        assert err == ("error: domain: linear value exp(27689.8) "
+                       "overflows double precision\n")
 
 
 class TestExpfamCommand:
@@ -290,3 +313,51 @@ class TestOutputContract:
             assert f"{float(rendered):.10g}" == rendered
         assert float(record["gamma"]) == pytest.approx(3.458007348, abs=1e-8)
         assert float(record["theta_star"]) == pytest.approx(7.311910528, abs=1e-6)
+
+
+def fresh_process(script, *args):
+    """Run a new interpreter on the source tree; returns (status, stdout, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    """run() builds its parser on first use and reuses it in the process."""
+
+    RUN = "import sys; from umpbt.cli import run; sys.exit(run(sys.argv[1:]))"
+
+    @pytest.mark.parametrize("argv", [
+        ["chisq", "--df", "6", "--alpha", "0.05"],
+        ["bf", "--df", "6", "--stat", "12.65", "--gamma", "3", "--json"],
+    ])
+    def test_valid_run_after_usage_error_matches_fresh_process(self, argv):
+        expected = fresh_process(self.RUN, *argv)
+        assert expected[0] == 0
+        for bad in (["chisq", "--df", "6"],
+                    ["bf", "--df", "6", "--stat", "1", "--gamma", "3", "--alpha", "0.05"],
+                    ["chisq", "--df", "x", "--gamma", "3", "--json"],
+                    ["no-such-command"]):
+            assert invoke(bad)[0] == 1
+            assert invoke(argv) == expected
+
+    def test_import_builds_no_parser(self):
+        script = "\n".join([
+            "import argparse, io",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counting(self, *args, **kwargs):",
+            "    built.append(self)",
+            "    init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counting",
+            "import umpbt.cli",
+            "print(len(built))",
+            "for _ in range(2):",
+            "    umpbt.cli.run(['chisq', '--df', '6', '--gamma', '3'], stdout=io.StringIO())",
+            "    print(len(built))",
+        ])
+        status, out, err = fresh_process(script)
+        assert status == 0, err
+        at_import, first, second = (int(n) for n in out.split())
+        assert at_import == 0 and first > 0 and second == first

@@ -173,6 +173,22 @@ class TestExpFamilyBoundary:
         value = expfam_boundary(0.4 + 1e-7, 1.0 + 1e-12, model)
         assert value == pytest.approx(limit, rel=1e-5)
 
+    @pytest.mark.parametrize("kind, theta0, theta, side, nuisance", [
+        ("normal-mean-known-variance", 3.0, 2.9999999999099485, "less", 1e-20),
+        ("binomial-proportion", 0.3, 0.3 + 1e-9, "greater", 2.0),
+        ("normal-variance-known-mean", 2.0, 2.0 * (1.0 - 1e-10), "less", 0.0),
+    ])
+    def test_free_of_cancellation_near_theta0(self, kind, theta0, theta, side, nuisance):
+        """theta within ~1e-10 relative of theta0: the differences of eta and
+        A are formed from theta - theta0, so the boundary keeps full
+        precision where subtracting their values would lose ~6 digits."""
+        model = ExpFamilyModel(kind=kind, theta0=theta0, n=1, side=side, nuisance=nuisance)
+        expected = oracles.expfam_boundary_mp(theta, 1.5, kind, theta0, 1, nuisance)
+        assert expfam_boundary(theta, 1.5, model) == pytest.approx(expected, rel=1e-12,
+                                                                   abs=0)
+        if kind == "normal-mean-known-variance":
+            assert expected == pytest.approx(2.99999999991, rel=1e-12, abs=0)
+
     def test_root_property_all_kinds(self):
         models = [
             ExpFamilyModel(kind="binomial-proportion", theta0=0.3, n=9,

@@ -1,6 +1,7 @@
 """Special-function layer: Bessel, gamma, chi-squared CDF/quantile, sampler."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,62 @@ class TestLogBessel:
             oracle = oracles.log_bessel_series_mp(11700.0, zi, terms=200)
             assert abs(vi - oracle) <= 1e-13 * abs(oracle)
 
+    def test_series_table_prefix_matches_fresh_build(self):
+        """An order's cached table, first read at a short length and then at
+        a longer one or the other way round, equals a fresh arange/gammaln
+        build of each length read, and the series values do not depend on
+        which length came first."""
+        from scipy.special import gammaln
+
+        from umpbt.special import _log_bessel_series, _series_table, _series_terms_needed
+
+        short, long = np.array([0.5, 3.0]), np.array([2.0, 650.0])
+        for order in (-0.5, 0.0, 2.0, 59.0):
+            seen = {}
+            for first, second in ((short, long), (long, short)):
+                _series_table.cache_clear()
+                for z in (first, second):
+                    value = _log_bessel_series(order, z).view(np.int64)
+                    assert np.array_equal(seen.setdefault(float(z.max()), value), value)
+                    n = _series_terms_needed(order, float(z.max()))
+                    j = np.arange(n, dtype=float)
+                    fresh = (order + 2.0 * j, gammaln(order + j + 1.0), gammaln(j + 1.0))
+                    for column, expected in zip(_series_table(order), fresh):
+                        assert np.array_equal(column[:n].view(np.int64),
+                                              expected.view(np.int64))
+        with pytest.raises(ValueError):
+            _series_table(2.0)[0][0] = 0.0  # shared by every caller
+
+    @pytest.mark.parametrize("order", (-0.5, 0.0, 2.0, 11700.0))
+    def test_direct_series_path_matches_masked_path(self, order):
+        """An array wholly inside the series domain skips the branch masks.
+        Inside an array that also holds zeros, arguments above 700 and (at
+        order 11700) an argument past the term budget, the same values come
+        out bit for bit the same, in any order and any shape."""
+        rng = np.random.default_rng(5)
+        z = rng.uniform(1e-9, 350.0 if order > 1e4 else 700.0, 2000)
+        direct = log_bessel_i_array(order, z)
+        extra = [0.0, 700.5, 5e4] + ([700.0] if order > 1e4 else [])
+        mixed = np.concatenate([z, extra])
+        perm = rng.permutation(mixed.size)
+        masked = np.empty_like(mixed)
+        masked[perm] = log_bessel_i_array(order, mixed[perm])
+        assert np.array_equal(masked[:z.size].view(np.int64), direct.view(np.int64))
+        shaped = log_bessel_i_array(order, z.reshape(40, 50))
+        assert np.array_equal(shaped.view(np.int64), direct.reshape(40, 50).view(np.int64))
+
+    def test_uniform_expansion_beyond_1e77_is_silent(self):
+        """kappa**4 overflows above ~1e77; its correction term is 0 there
+        either way, so the value is unchanged and no warning escapes."""
+        z = np.array([1e77, 1e150, 1e300])
+        expected = [float.fromhex(h) for h in
+                    ("0x1.ba2bfd0d5ff5bp+255", "0x1.38d352e5096afp+498",
+                     "0x1.7e43c8800759cp+996")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for order in (-0.5, 2.0):
+                assert log_bessel_i_array(order, z).tolist() == expected
+
     def test_large_argument_against_scaled_reference(self):
         from scipy.special import ive
 
@@ -143,6 +200,9 @@ class TestLogBessel:
             log_bessel_i(-1.0, 1.0)
         with pytest.raises(DomainError):
             log_bessel_i(-1.5, 1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                log_bessel_i_array(1.0, np.array([2.0, bad]))
 
     def test_never_nan(self):
         rng = np.random.default_rng(7)
