@@ -91,13 +91,18 @@ def _series_terms_needed(order: float, z_max: float) -> int:
     return int(math.ceil(j_peak + 9.0 * math.sqrt(j_peak + abs(order) + 10.0) + 20.0))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=128)
 def _series_table(order: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exponents 2j+order, log Gamma(order+j+1) and log j! for j < _SERIES_TERM_CAP.
 
     Built once per order; a prefix of the table holds exactly the values an
     ``arange`` of that length would give, because every entry is computed
     elementwise.  Read-only, since every caller shares it.
+
+    A table is 24 KB, so the cache holds at most about 3 MB.  128 orders
+    cover every benchmark workload: a round of items asks for 14 distinct
+    orders on ``contingency``, 5 on ``power_mc``, 16 on ``power`` and 120
+    on ``curve`` (df = 1..120, which 64 slots would rebuild on every call).
     """
     j = np.arange(_SERIES_TERM_CAP, dtype=float)
     table = (order + 2.0 * j, _sp.gammaln(order + j + 1.0), _sp.gammaln(j + 1.0))
