@@ -31,11 +31,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _opt
 
 from .bayes import ChiSqTestSpec, ExpFamilyModel, _log_bf_core
 from .errors import BracketingError, DomainError, NoRootError
 from .special import chisq_cdf, chisq_quantile
+
+# scipy.optimize (for brentq) is imported inside the two functions that find
+# a root, rejection_boundary and solve_umpbt_expfam: it takes about a quarter
+# of a second to load, which commands that never find a root (contingency,
+# curve, a matched alpha) would otherwise pay at every start-up.
 
 __all__ = [
     "UmpbtSolution",
@@ -187,8 +191,10 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
         return float(_log_bf_core(np.array([y]), theta_arr, df)[0]) - log_gamma
 
     hi = float(_upper_bracket(theta_arr, log_gamma, df)[0])
-    return float(_opt.brentq(f, 1e-12, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps,
-                             maxiter=200))
+    from scipy.optimize import brentq
+
+    return float(brentq(f, 1e-12, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps,
+                        maxiter=200))
 
 
 def _scan_minimum(values_at, value_at, theta_hi: float, what: str):
@@ -341,8 +347,10 @@ def solve_umpbt_expfam(model: ExpFamilyModel, gamma: float) -> UmpbtSolution:
 
     # xtol is negligible, so the relative tolerance alone ends the search
     finfo = np.finfo(float)
-    t_star = _opt.brentq(excess, far, near, xtol=finfo.smallest_subnormal,
-                         rtol=4 * finfo.eps)
+    from scipy.optimize import brentq
+
+    t_star = brentq(excess, far, near, xtol=finfo.smallest_subnormal,
+                    rtol=4 * finfo.eps)
     theta_star = base + step * t_star
     # n KL = log gamma at theta*, so the boundary [log gamma + n dA] / d eta
     # reduces to n E_theta*[T] and needs no differences near theta0

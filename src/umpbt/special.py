@@ -223,8 +223,10 @@ def log_bessel_i_array(order: float, z: np.ndarray) -> np.ndarray:
     if _series_terms_needed(order, _SERIES_Z_MAX) > _SERIES_TERM_CAP:
         # Orders above ~1.16e4: the series outgrows its budget, but there
         # hypot(order, z) > 1e4 and the uniform expansion is exact in
-        # double precision.
-        needed = np.vectorize(_series_terms_needed, otypes=[int])(order, z)
+        # double precision.  z is clamped at 700, past which the uniform
+        # expansion runs anyway, so the term count fits a C long.
+        capped = np.minimum(z, _SERIES_Z_MAX)
+        needed = np.vectorize(_series_terms_needed, otypes=[int])(order, capped)
         small &= needed <= _SERIES_TERM_CAP
     if small.any():
         out[small] = _log_bessel_series(order, z[small])

@@ -129,6 +129,15 @@ class TestBfCommand:
         assert err == ("error: domain: linear value exp(2.70405e+150) "
                        "overflows double precision\n")
 
+    def test_large_df_overflow_exits_one(self):
+        """At df 60002 the Bessel order is 30000, past the series budget;
+        a statistic of 1e300 still reaches the overflow message."""
+        code, out, err = invoke(["bf", "--df", "60002", "--stat", "1e300",
+                                 "--gamma", "3"])
+        assert code == 1 and out == ""
+        assert err == ("error: domain: linear value exp(2.26929e+151) "
+                       "overflows double precision\n")
+
 
 class TestContingencyCommand:
     def test_worked_example(self):
@@ -361,3 +370,29 @@ class TestParserReuse:
         assert status == 0, err
         at_import, first, second = (int(n) for n in out.split())
         assert at_import == 0 and first > 0 and second == first
+
+
+class TestStartUp:
+    """Only a root needs scipy.optimize, so importing the CLI and running
+    the commands that find none never pay its ~0.25 s import."""
+
+    def test_root_free_commands_load_no_optimizer(self, tmp_path):
+        script = "\n".join([
+            "import io, json, sys",
+            "from umpbt.cli import run",
+            "print('scipy.optimize' in sys.modules)",
+            "for argv in json.loads(sys.argv[1]):",
+            "    assert run(argv, stdout=io.StringIO()) == 0, argv",
+            "print('scipy.optimize' in sys.modules)",
+        ])
+        commands = [
+            ["contingency", WHITE_CSV, "--header", "--row-labels"],
+            ["chisq", "--df", "6", "--alpha", "0.05"],
+            ["bf", "--df", "6", "--stat", "12.65", "--alpha", "0.05"],
+            ["curve", "--alphas", "0.05", "--df-max", "3",
+             "-o", str(tmp_path / "curve.csv")],
+            ["ttest-demo", "--n", "10", "--gamma", "3", "--theta-t", "2,4",
+             "--seed", "1", "--draws", "1000"],
+        ]
+        status, out, err = fresh_process(script, json.dumps(commands))
+        assert (status, out, err) == (0, "False\nFalse\n", "")

@@ -121,6 +121,21 @@ class TestLogBessel:
             oracle = oracles.log_bessel_series_mp(11700.0, zi, terms=200)
             assert abs(vi - oracle) <= 1e-13 * abs(oracle)
 
+    def test_large_order_routing_past_c_long(self):
+        """At order 30000 every positive z takes the uniform expansion; its
+        series term count for z = 1e20 would not fit a C long, and the
+        routing must not compute it."""
+        z = np.array([0.0, 5.0, 700.0, 1e5, 1e20])
+        vec = log_bessel_i_array(30000.0, z)
+        assert vec[0] == -np.inf
+        for zi, vi in zip(z[1:], vec[1:]):
+            assert vi == log_bessel_i(30000.0, zi).log_magnitude
+        for zi, vi in zip(z[1:3], vec[1:3]):
+            oracle = oracles.log_bessel_series_mp(30000.0, zi, terms=60)
+            assert abs(vi - oracle) <= 1e-13 * abs(oracle)
+        assert vec[4] == 1e20  # z - log(2 pi z) / 2 rounds to z
+        assert log_bessel_i_array(30000.0, np.array(1e20)) == 1e20
+
     def test_series_table_prefix_matches_fresh_build(self):
         """An order's cached table, first read at a short length and then at
         a longer one or the other way round, equals a fresh arange/gammaln
