@@ -36,10 +36,8 @@ from .bayes import ChiSqTestSpec, ExpFamilyModel, _log_bf_core
 from .errors import BracketingError, DomainError, NoRootError
 from .special import chisq_cdf, chisq_quantile
 
-# scipy.optimize (for brentq) is imported inside the two functions that find
-# a root, rejection_boundary and solve_umpbt_expfam: it takes about a quarter
-# of a second to load, which commands that never find a root (contingency,
-# curve, a matched alpha) would otherwise pay at every start-up.
+# brentq is imported where a root is found: loading scipy.optimize takes
+# ~0.25 s, which commands that find no root would pay at every start-up.
 
 __all__ = [
     "UmpbtSolution",
@@ -192,7 +190,6 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
 
     hi = float(_upper_bracket(theta_arr, log_gamma, df)[0])
     from scipy.optimize import brentq
-
     return float(brentq(f, 1e-12, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps,
                         maxiter=200))
 
@@ -348,7 +345,6 @@ def solve_umpbt_expfam(model: ExpFamilyModel, gamma: float) -> UmpbtSolution:
     # xtol is negligible, so the relative tolerance alone ends the search
     finfo = np.finfo(float)
     from scipy.optimize import brentq
-
     t_star = brentq(excess, far, near, xtol=finfo.smallest_subnormal,
                     rtol=4 * finfo.eps)
     theta_star = base + step * t_star
