@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -95,6 +96,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError:
         raise DomainError(f"grid spec {spec!r} has non-numeric fields") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError(f"grid spec {spec!r} needs finite endpoints")
     if count < 1:
         raise DomainError(f"grid spec {spec!r} needs at least one point")
     if len(parts) == 4:

@@ -10,6 +10,8 @@ the grids used and never claims more than that.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +147,13 @@ def dominance_check(gamma: float, df: float, theta_grid=None,
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def mc_rejection_rate(theta: float, theta_t: float, gamma: float, df: float,
                       n_draws: int, seed: int) -> float:
     """Empirical rejection rate from seeded noncentral chi-squared draws.
@@ -152,6 +161,13 @@ def mc_rejection_rate(theta: float, theta_t: float, gamma: float, df: float,
     Counts draws whose log Bayes factor at ``theta`` exceeds log gamma;
     deterministic for a given seed.  Evaluation is chunked so arbitrarily
     many draws never materialize a large Bessel-series workspace at once.
+
+    The draws come from one seeded stream; only the evaluation of log g is
+    split.  The chunks run on a thread pool, one worker per usable CPU (numpy
+    releases the GIL inside the Bessel series), and each chunk's log g does
+    not depend on which thread computes it or when.  Each chunk yields an
+    integer hit count, and an integer sum does not depend on the order of
+    its terms, so the rate is bit for bit the same for any worker count.
     """
     if not (gamma > 1) or not math.isfinite(gamma):
         raise DomainError(f"evidence threshold must exceed 1, got {gamma}")
@@ -162,9 +178,14 @@ def mc_rejection_rate(theta: float, theta_t: float, gamma: float, df: float,
     draws = sample_noncentral_chisq(NoncentralChiSq(df, theta_t), n_draws, seed)
     log_gamma = math.log(gamma)
     theta_arr = np.array([float(theta)])
-    hits = 0
-    for start in range(0, n_draws, _MC_CHUNK):
+
+    def count_hits(start: int) -> int:
         chunk = draws[start:start + _MC_CHUNK]
         lbf = _log_bf_core(chunk, np.broadcast_to(theta_arr, chunk.shape), df)
-        hits += int(np.count_nonzero(lbf > log_gamma))
+        return int(np.count_nonzero(lbf > log_gamma))
+
+    starts = range(0, n_draws, _MC_CHUNK)
+    with ThreadPoolExecutor(max_workers=min(len(starts), _usable_cpus())) as pool:
+        # map re-raises the first chunk's exception when its result is read
+        hits = sum(pool.map(count_hits, starts))
     return hits / n_draws

@@ -236,6 +236,14 @@ class TestPowerCommand:
         assert code == 1
         assert err.startswith("error: domain:")
 
+    @pytest.mark.parametrize("option, spec", [("--theta-t-grid", "0:inf:2"),
+                                              ("--theta-grid", "nan:2:2")])
+    def test_non_finite_grid_endpoint(self, option, spec):
+        code, out, err = invoke(["power", "--df", "6", "--gamma", "3.46", option, spec])
+        assert code == 1 and out == ""
+        assert err.startswith("error: domain:")
+        assert repr(spec) in err
+
     def test_negative_seed_exits_one(self):
         code, out, err = invoke(["power", "--df", "6", "--gamma", "3.46",
                                  "--mc", "10", "--seed", "-1"])

@@ -1,10 +1,12 @@
 """Power layer: rejection probabilities, dominance grids, Monte Carlo rates."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from umpbt import power
 from umpbt import (
     ChiSqTestSpec,
     DomainError,
@@ -97,6 +99,45 @@ class TestMcRejectionRate:
         a = mc_rejection_rate(2.0, 1.0, 3.0, 4.0, 50_000, seed=77)
         b = mc_rejection_rate(2.0, 1.0, 3.0, 4.0, 50_000, seed=77)
         assert a == b
+
+    # three full 16,384-draw chunks plus a 5-draw tail; hit counts recorded
+    # with the single-threaded chunk loop
+    PINNED_DRAWS = 3 * 16384 + 5
+    PINNED_HITS = {7: 8732, 2026: 8603}
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_HITS))
+    def test_pinned_rate_with_partial_chunk(self, seed):
+        rate = mc_rejection_rate(7.0, 3.5, 5.0, 6.0, self.PINNED_DRAWS, seed=seed)
+        assert rate == self.PINNED_HITS[seed] / self.PINNED_DRAWS
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_rate_independent_of_worker_count(self, monkeypatch, cpus):
+        monkeypatch.setattr(power, "_usable_cpus", lambda: cpus)
+        rate = mc_rejection_rate(7.0, 3.5, 5.0, 6.0, self.PINNED_DRAWS, seed=7)
+        assert rate == self.PINNED_HITS[7] / self.PINNED_DRAWS
+
+    @pytest.mark.skipif(power._usable_cpus() < 2, reason="needs two usable CPUs")
+    def test_chunks_run_on_several_threads(self, monkeypatch):
+        # the first two chunks meet at a barrier, which one thread alone
+        # cannot pass: it would wait inside its first chunk until the timeout
+        barrier = threading.Barrier(2, timeout=30)
+        lock = threading.Lock()
+        threads = []
+        core = power._log_bf_core
+
+        def recording_core(y, theta, df):
+            with lock:
+                threads.append(threading.get_ident())
+                first_two = len(threads) <= 2
+            if first_two:
+                barrier.wait()
+            return core(y, theta, df)
+
+        monkeypatch.setattr(power, "_log_bf_core", recording_core)
+        rate = mc_rejection_rate(7.0, 3.5, 5.0, 6.0, self.PINNED_DRAWS, seed=7)
+        assert rate == self.PINNED_HITS[7] / self.PINNED_DRAWS
+        assert len(threads) == 4
+        assert len(set(threads)) > 1
 
     def test_validation(self):
         with pytest.raises(DomainError):
