@@ -1,12 +1,13 @@
 """Power layer: rejection probabilities, dominance grids, Monte Carlo rates."""
 
 import math
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from umpbt import power
+from umpbt import power, special
 from umpbt import (
     ChiSqTestSpec,
     DomainError,
@@ -112,8 +113,16 @@ class TestMcRejectionRate:
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_rate_independent_of_worker_count(self, monkeypatch, cpus):
+        # the workers build the shared series tables at once and switch
+        # every microsecond; any interference between them moves the count
         monkeypatch.setattr(power, "_usable_cpus", lambda: cpus)
-        rate = mc_rejection_rate(7.0, 3.5, 5.0, 6.0, self.PINNED_DRAWS, seed=7)
+        special._series_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rate = mc_rejection_rate(7.0, 3.5, 5.0, 6.0, self.PINNED_DRAWS, seed=7)
+        finally:
+            sys.setswitchinterval(interval)
         assert rate == self.PINNED_HITS[7] / self.PINNED_DRAWS
 
     @pytest.mark.skipif(power._usable_cpus() < 2, reason="needs two usable CPUs")
