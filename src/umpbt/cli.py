@@ -376,3 +376,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

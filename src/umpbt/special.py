@@ -120,24 +120,49 @@ def _log_bessel_series(order: float, z: np.ndarray) -> np.ndarray:
     and a max-shifted log-sum-exp collapses them so the peak term (which
     exceeds linear range near z = 700) never materializes.
 
-    The reduction runs in place over one workspace of ``_SERIES_BLOCK``
-    rows, so a 16,384-draw Monte Carlo chunk never holds its full term
-    matrix, and reproduces the arithmetic of ``scipy.special.logsumexp`` bit
-    for bit: the terms equal to the row maximum leave the sum and come back
-    as ``log(m)``.  The benchmark's correctness gate checks theta* at 1e-8
-    relative against values recorded with that function, and a one-ulp
-    change in log I moves theta* past it.  The term count is sized from
-    ``z.max()`` of the whole array, so blocking does not change any value.
+    The reduction reproduces the arithmetic of ``scipy.special.logsumexp``
+    bit for bit: the terms equal to the row maximum leave the sum and come
+    back as ``log(m)``.  The benchmark's correctness gate checks theta* at
+    1e-8 relative against values recorded with that function, and a
+    one-ulp change in log I moves theta* past it.
+
+    An array runs in place over one workspace of ``_SERIES_BLOCK`` rows, so
+    a 16,384-draw Monte Carlo chunk never holds its full term matrix.  The
+    term count is sized from ``z.max()`` of the whole array, so blocking
+    does not change any value.
+
+    A single value, which each golden-section and root-finding step of the
+    solver asks for, takes a lane of its own: one 1-D row of terms reduced
+    by ``np.maximum.reduce`` and ``np.add.reduce`` on numpy scalars, without
+    the workspace, the 2-D broadcasts or the loop.  Its bits equal those of
+    the blocked path: the elementwise ufuncs give the same result on a
+    scalar, a row or a block, and the pairwise sum of one row is the sum the
+    blocked path takes along each of its rows.
     """
-    n_terms = _series_terms_needed(order, float(z.max()))
+    lane = z.size == 1
+    z_max = float(z[0]) if lane else float(z.max())
+    n_terms = _series_terms_needed(order, z_max)
     if n_terms > _SERIES_TERM_CAP:
         raise SeriesError(
-            f"Bessel series needs {n_terms} terms for z={z.max():.3g} "
+            f"Bessel series needs {n_terms} terms for z={z_max:.3g} "
             f"(budget {_SERIES_TERM_CAP})"
         )
-    powers, log_gamma_order, log_factorial = (
+    powers, log_gamma_order, log_factorial = [
         column[:n_terms] for column in _series_table(order)
-    )
+    ]
+    if lane:
+        terms = np.log(z_max / 2.0) * powers
+        terms -= log_gamma_order
+        terms -= log_factorial
+        peak = np.maximum.reduce(terms)
+        terms -= peak
+        top = terms == 0.0
+        m = float(np.count_nonzero(top))
+        np.exp(terms, out=terms)
+        np.copyto(terms, 0.0, where=top)
+        s = np.add.reduce(terms) / m
+        return (np.log1p(s) + np.log(m) + peak).reshape(1)
+
     log_half = np.log(z / 2.0)
     out = np.empty_like(log_half)
     work = np.empty((min(z.size, _SERIES_BLOCK), n_terms))
@@ -147,13 +172,13 @@ def _log_bessel_series(order: float, z: np.ndarray) -> np.ndarray:
         np.multiply(log_half[start:stop, None], powers, out=terms)
         terms -= log_gamma_order
         terms -= log_factorial
-        peak = terms.max(axis=1)
+        peak = np.maximum.reduce(terms, axis=1)
         terms -= peak[:, None]
         top = terms == 0.0
-        m = np.count_nonzero(top, axis=1).astype(float)
+        m = np.add.reduce(top, axis=1, dtype=float)
         np.exp(terms, out=terms)
         np.copyto(terms, 0.0, where=top)
-        s = terms.sum(axis=1)
+        s = np.add.reduce(terms, axis=1)
         s /= m  # logsumexp skips the division when s == 0; 0 / m is 0 too
         out[start:stop] = np.log1p(s) + np.log(m) + peak
     return out

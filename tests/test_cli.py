@@ -380,6 +380,20 @@ class TestParserReuse:
         assert at_import == 0 and first > 0 and second == first
 
 
+class TestModuleEntry:
+    """``python -m umpbt.cli`` runs a command as the ``umpbt`` script does."""
+
+    MODULE = "import runpy; runpy.run_module('umpbt.cli', run_name='__main__')"
+
+    def test_runs_command_and_reports_error(self):
+        argv = ["chisq", "--df", "6", "--alpha", "0.05"]
+        assert fresh_process(self.MODULE, *argv) == (0, invoke(argv)[1], "")
+        status, out, err = fresh_process(self.MODULE, "power", "--df", "6", "--gamma",
+                                         "3.46", "--theta-t-grid", "0:inf:2")
+        assert (status, out) == (1, "")
+        assert err.startswith("error: domain:") and "'0:inf:2'" in err
+
+
 class TestStartUp:
     """Only a root needs scipy.optimize, so importing the CLI and running
     the commands that find none never pay its ~0.25 s import."""

@@ -80,7 +80,8 @@ class TestLogBessel:
         """The in-place reduction equals scipy's logsumexp bit for bit: on
         single elements, on 16,384-element chunks spanning several
         workspace blocks, and on rows with a tied peak (order 0 at z = 2
-        has two equal peak terms)."""
+        has two equal peak terms).  On 500 more single values and the tie,
+        the one-value lane equals the blocked path bit for bit."""
         from scipy.special import gammaln, logsumexp
 
         from umpbt.special import _log_bessel_series, _series_terms_needed
@@ -101,6 +102,12 @@ class TestLogBessel:
                 expected[start:start + 4096] = logsumexp(log_terms, axis=-1)
             actual = _log_bessel_series(order, z)
             assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+        # a single value takes the one-value lane; [z, z] takes the blocked
+        # path with the same term count, and both give the same bits
+        single = np.append(rng.uniform(1e-9, 700.0, 500), 2.0)
+        lane = np.array([_log_bessel_series(order, np.array([z]))[0] for z in single])
+        blocked = np.array([_log_bessel_series(order, np.array([z, z]))[0] for z in single])
+        assert np.array_equal(lane.view(np.int64), blocked.view(np.int64))
 
     def test_large_order_uses_uniform_expansion(self):
         """Orders above ~1.16e4 would need more series terms than the budget
