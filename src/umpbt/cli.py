@@ -191,14 +191,14 @@ def _cmd_power(args) -> dict:
     theta_grid = _parse_grid(args.theta_grid) if args.theta_grid else None
     theta_t_grid = _parse_grid(args.theta_t_grid) if args.theta_t_grid else None
     report = dominance_check(args.gamma, args.df, theta_grid, theta_t_grid)
-    rows = []
-    for theta, theta_t, h in report.curve.entries:
-        row = {"theta_t": _round10(theta_t), "theta": _round10(theta),
-               "h": _round10(h)}
-        if args.mc is not None:
-            row["h_mc"] = _round10(mc_rejection_rate(
-                theta, theta_t, args.gamma, args.df, args.mc, args.seed))
-        rows.append(row)
+    rows = [{"theta_t": _round10(theta_t), "theta": _round10(theta), "h": _round10(h)}
+            for theta, theta_t, h in report.curve.entries]
+    if args.mc is not None:
+        thetas, theta_ts, _ = zip(*report.curve.entries)
+        h_mc = mc_rejection_rate(thetas, theta_ts, args.gamma, args.df, args.mc,
+                                 args.seed)
+        for row, rate in zip(rows, h_mc):
+            row["h_mc"] = _round10(rate)
     payload = {
         "df": _round10(args.df),
         "gamma": _round10(args.gamma),

@@ -10,6 +10,7 @@ the grids used and never claims more than that.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -154,38 +155,55 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def mc_rejection_rate(theta: float, theta_t: float, gamma: float, df: float,
-                      n_draws: int, seed: int) -> float:
-    """Empirical rejection rate from seeded noncentral chi-squared draws.
+def mc_rejection_rate(theta, theta_t, gamma: float, df: float, n_draws: int,
+                      seed: int):
+    """Empirical rejection rates from seeded noncentral chi-squared draws.
 
-    Counts draws whose log Bayes factor at ``theta`` exceeds log gamma;
-    deterministic for a given seed.  Evaluation is chunked so arbitrarily
-    many draws never materialize a large Bessel-series workspace at once.
+    Counts the draws under ``theta_t`` whose log Bayes factor at ``theta``
+    exceeds log gamma, deterministically for a given seed.  ``theta`` and
+    ``theta_t`` broadcast like a ufunc's arguments; two scalars give a float.
 
-    The draws come from one seeded stream; only the evaluation of log g is
-    split.  The chunks run on a thread pool, one worker per usable CPU (numpy
-    releases the GIL inside the Bessel series), and each chunk's log g does
-    not depend on which thread computes it or when.  Each chunk yields an
-    integer hit count, and an integer sum does not depend on the order of
-    its terms, so the rate is bit for bit the same for any worker count.
+    Each distinct ``theta_t`` is drawn once, as a scalar call draws it, and
+    every ``theta`` paired with it counts hits on those draws.  Every (pair,
+    16,384-draw chunk) task runs on one thread pool, a worker per usable CPU
+    (numpy releases the GIL in the Bessel series), while this thread draws
+    the next ``theta_t``; at most two draw arrays (``n_draws`` x 8 bytes
+    each) are alive at once.  A rate is an integer sum of chunk counts over
+    ``n_draws``, so it is bit for bit the same for any worker count.
     """
     if not (gamma > 1) or not math.isfinite(gamma):
         raise DomainError(f"evidence threshold must exceed 1, got {gamma}")
-    if not (theta > 0):
-        raise DomainError(f"noncentrality must be positive, got {theta}")
-    if n_draws < 1:
-        raise DomainError(f"draw count must be at least 1, got {n_draws}")
-    draws = sample_noncentral_chisq(NoncentralChiSq(df, theta_t), n_draws, seed)
+    thetas, theta_ts = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                           np.asarray(theta_t, dtype=float))
+    bad = thetas[~((thetas > 0) & np.isfinite(thetas))]
+    if bad.size:
+        raise DomainError(f"theta must be finite and positive, got {bad[0]}")
+    bad = theta_ts[~((theta_ts >= 0) & np.isfinite(theta_ts))]
+    if bad.size:
+        raise DomainError(f"theta_t must be finite and nonnegative, got {bad[0]}")
+    if isinstance(n_draws, bool) or not hasattr(n_draws, "__index__") or n_draws < 1:
+        raise DomainError(f"n_draws must be an integer of at least 1, got {n_draws!r}")
+    n_draws = operator.index(n_draws)
     log_gamma = math.log(gamma)
-    theta_arr = np.array([float(theta)])
+    distinct_ts, t_index = np.unique(theta_ts.ravel(), return_inverse=True)
+    live, tasks = {}, {}  # tasks look their draws up in live, so popping frees them
+    hits = np.zeros(thetas.shape, dtype=np.int64)
 
-    def count_hits(start: int) -> int:
-        chunk = draws[start:start + _MC_CHUNK]
-        lbf = _log_bf_core(chunk, np.broadcast_to(theta_arr, chunk.shape), df)
-        return int(np.count_nonzero(lbf > log_gamma))
+    def count_hits(k: int, row: int, start: int) -> int:
+        chunk = live[k][start:start + _MC_CHUNK]
+        theta_row = np.broadcast_to(thetas.flat[row], chunk.shape)
+        return int(np.count_nonzero(_log_bf_core(chunk, theta_row, df) > log_gamma))
 
-    starts = range(0, n_draws, _MC_CHUNK)
-    with ThreadPoolExecutor(max_workers=min(len(starts), _usable_cpus())) as pool:
-        # map re-raises the first chunk's exception when its result is read
-        hits = sum(pool.map(count_hits, starts))
-    return hits / n_draws
+    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+        for k in range(len(distinct_ts) + 2):
+            # count theta_t number k - 2 and free its draws before drawing number k
+            for row, future in tasks.pop(k - 2, ()):
+                hits.flat[row] += future.result()  # re-raises a chunk's exception
+            live.pop(k - 2, None)
+            if k < len(distinct_ts):
+                dist = NoncentralChiSq(df, float(distinct_ts[k]))
+                live[k] = sample_noncentral_chisq(dist, n_draws, seed)
+                tasks[k] = [(row, pool.submit(count_hits, k, row, start))
+                            for row in np.flatnonzero(t_index == k)
+                            for start in range(0, n_draws, _MC_CHUNK)]
+    return hits / n_draws if hits.ndim else float(hits / n_draws)

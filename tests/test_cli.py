@@ -230,6 +230,23 @@ class TestPowerCommand:
         for row in rows:
             assert abs(float(row["h_mc"]) - float(row["h"])) < 0.02
 
+    def test_mc_column_pinned(self):
+        # descending grids come out sorted by (theta_t, theta); 40,000 draws
+        # are two full 16,384-draw chunks plus 7,232
+        code, out, _ = invoke(["power", "--df", "2", "--gamma", "3",
+                               "--theta-grid", "6:2:3:log",
+                               "--theta-t-grid", "4:0:3",
+                               "--mc", "40000", "--seed", "3"])
+        assert code == 0
+        _, rows = parse_plain(out)
+        assert [(r["theta_t"], r["theta"], r["h_mc"]) for r in rows] == [
+            ("0", "2", "0.0381"), ("0", "3.464101615", "0.056475"),
+            ("0", "6", "0.056325"), ("2", "2", "0.190775"),
+            ("2", "3.464101615", "0.2425"), ("2", "6", "0.242075"),
+            ("4", "2", "0.3675"), ("4", "3.464101615", "0.43335"),
+            ("4", "6", "0.432675"),
+        ]
+
     def test_bad_grid_spec(self):
         code, _, err = invoke(["power", "--df", "2", "--gamma", "3",
                                "--theta-grid", "1:2"])

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -109,6 +110,7 @@ class TestMcRejectionRate:
     @pytest.mark.parametrize("seed", sorted(PINNED_HITS))
     def test_pinned_rate_with_partial_chunk(self, seed):
         rate = mc_rejection_rate(7.0, 3.5, 5.0, 6.0, self.PINNED_DRAWS, seed=seed)
+        assert type(rate) is float
         assert rate == self.PINNED_HITS[seed] / self.PINNED_DRAWS
 
     @pytest.mark.parametrize("cpus", [1, 4])
@@ -148,8 +150,63 @@ class TestMcRejectionRate:
         assert len(threads) == 4
         assert len(set(threads)) > 1
 
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_batched_rates_match_scalar_calls(self, monkeypatch, cpus):
+        # an unsorted theta grid with a duplicate against repeated, out-of-order
+        # theta_t values: 16 pairs over 3 distinct draw sets
+        thetas = np.array([7.0, 2.5, 11.0, 2.5])[:, None]
+        theta_ts = np.array([3.5, 0.0, 9.0, 0.0])
+        expected = np.array([[mc_rejection_rate(float(a), float(b), 5.0, 6.0,
+                                                self.PINNED_DRAWS, seed=7)
+                              for b in theta_ts] for a in thetas[:, 0]])
+        sampled, alive, peak = [], [], [0]
+
+        def sampler(dist, n, seed):
+            draws = special.sample_noncentral_chisq(dist, n, seed)
+            sampled.append(dist.noncentrality)
+            alive.append(weakref.ref(draws))
+            peak[0] = max(peak[0], sum(ref() is not None for ref in alive))
+            return draws
+
+        monkeypatch.setattr(power, "sample_noncentral_chisq", sampler)
+        monkeypatch.setattr(power, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rates = mc_rejection_rate(thetas, theta_ts, 5.0, 6.0,
+                                      self.PINNED_DRAWS, seed=7)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rates.shape == (4, 4)
+        assert np.array_equal(rates, expected)
+        assert sorted(sampled) == [0.0, 3.5, 9.0]
+        assert peak[0] <= 2
+
+    @pytest.mark.parametrize("theta, theta_t, n_draws, name", [
+        (2.0, 1.0, 0, "n_draws"),
+        (2.0, 1.0, 2.5, "n_draws"),
+        (2.0, 1.0, True, "n_draws"),
+        (2.0, 1.0, "100", "n_draws"),
+        (math.inf, 1.0, 100, "theta"),
+        (math.nan, 1.0, 100, "theta"),
+        ([2.0, 0.0], 1.0, 100, "theta"),
+        (2.0, -1.0, 100, "theta_t"),
+        (2.0, [0.0, math.inf], 100, "theta_t"),
+        (2.0, math.nan, 100, "theta_t"),
+    ])
+    def test_validation_before_any_draw(self, monkeypatch, theta, theta_t,
+                                        n_draws, name):
+        def sampler(*args):
+            raise AssertionError("drew before validating")
+
+        monkeypatch.setattr(power, "sample_noncentral_chisq", sampler)
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            mc_rejection_rate(theta, theta_t, 3.0, 4.0, n_draws, seed=1)
+
     def test_validation(self):
         with pytest.raises(DomainError):
-            mc_rejection_rate(2.0, 1.0, 3.0, 4.0, 0, seed=1)
-        with pytest.raises(DomainError):
             mc_rejection_rate(2.0, 1.0, 0.9, 4.0, 100, seed=1)
+
+    def test_numpy_integer_draw_count(self):
+        rate = mc_rejection_rate(7.0, 3.5, 5.0, 6.0, np.int64(self.PINNED_DRAWS), seed=7)
+        assert rate == self.PINNED_HITS[7] / self.PINNED_DRAWS
