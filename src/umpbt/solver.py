@@ -5,7 +5,9 @@ increasing in the statistic y, so each alternative theta induces an upper
 rejection interval (r(theta), inf) where r(theta) is the unique root of
 g = gamma.  The alternative whose interval covers all the others is the one
 minimizing r, and this module locates it by a log-spaced scan followed by
-one golden section on the minimal scan cell.  That finds the minimum: at
+one golden section on the minimal scan cell.  The scan solves r at all of
+its alternatives as one elementwise root in log y; the golden section
+reads one scalar root at a time.  That finds the minimum: at
 fixed y, d/dtheta log g = -1/2 + z R(z) / (2 theta), with z = sqrt(theta y)
 and R = I_{df/2} / I_{df/2-1}, vanishes only where y R(z) = z, so log g is
 unimodal in theta and r(theta) is quasi-convex.  Solving that first-order
@@ -36,8 +38,9 @@ from .bayes import ChiSqTestSpec, ExpFamilyModel, _log_bf_core
 from .errors import BracketingError, DomainError, NoRootError
 from .special import chisq_cdf, chisq_quantile
 
-# brentq is imported where a root is found: loading scipy.optimize takes
-# ~0.25 s, which commands that find no root would pay at every start-up.
+# brentq and find_root are imported where a root is found: loading
+# scipy.optimize takes ~0.25 s, which commands that find no root would pay
+# at every start-up.
 
 __all__ = [
     "UmpbtSolution",
@@ -120,11 +123,14 @@ def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _check_boundary_args(theta: float, gamma: float, df: float) -> None:
+def _check_boundary_args(theta, gamma: float, df: float) -> None:
+    """Validate a scalar or an array of alternatives with gamma and df."""
     if not (df > 0):
         raise DomainError(f"degrees of freedom must be positive, got {df}")
-    if not (theta > 0) or not math.isfinite(theta):
-        raise DomainError(f"noncentrality must be positive, got {theta}")
+    theta = np.asarray(theta, dtype=float)
+    bad = theta[~((theta > 0) & np.isfinite(theta))]
+    if bad.size:
+        raise DomainError(f"noncentrality must be positive, got {bad[0]}")
     if not (gamma > 0) or not math.isfinite(gamma):
         raise DomainError(f"evidence threshold must be positive, got {gamma}")
     if gamma <= 1.0:
@@ -157,22 +163,32 @@ def _upper_bracket(thetas: np.ndarray, log_gamma: float, df: float) -> np.ndarra
 def rejection_boundary_grid(thetas: np.ndarray, gamma: float, df: float) -> np.ndarray:
     """Vectorized :func:`rejection_boundary` over an array of alternatives.
 
-    Bisects log g(y, theta) = log gamma in log y simultaneously for every
-    element; the residual on the log Bayes factor stays below ~1e-10.
+    Solves log g(e^u, theta) = log gamma in u = log y for every element as
+    one ``scipy.optimize.elementwise.find_root`` call, each bracketed by
+    [log 1e-12, log of its ``_upper_bracket`` end] and converged to a few
+    ulps in u, or :class:`NoRootError` names (gamma, df).  Equal
+    alternatives take the same iterates in the same calls, so they return
+    equal bits, as ``dominance_check``'s zero self-margin needs.  An empty
+    array returns an empty one.
     """
     thetas = np.asarray(thetas, dtype=float)
-    for t in (thetas.min(), thetas.max()):
-        _check_boundary_args(float(t), gamma, df)
+    _check_boundary_args(thetas, gamma, df)
+    if thetas.size == 0:
+        return np.empty_like(thetas)
     log_gamma = math.log(gamma)
 
-    a = np.log(np.full_like(thetas, 1e-12))
-    b = np.log(_upper_bracket(thetas, log_gamma, df))
-    while float(np.max(b - a)) > 1e-12:
-        mid = 0.5 * (a + b)
-        below = _log_bf_core(np.exp(mid), thetas, df) < log_gamma
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    return np.exp(0.5 * (a + b))
+    def excess(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        return _log_bf_core(np.exp(u), theta, df) - log_gamma
+
+    from scipy.optimize.elementwise import find_root
+    eps = np.finfo(float).eps
+    res = find_root(excess, (np.full_like(thetas, math.log(1e-12)),
+                             np.log(_upper_bracket(thetas, log_gamma, df))),
+                    args=(thetas,), tolerances=dict(xatol=4 * eps, xrtol=4 * eps))
+    if not np.all(res.success):
+        raise NoRootError(
+            f"rejection boundary root did not converge for gamma={gamma}, df={df}")
+    return np.exp(res.x)
 
 
 def rejection_boundary(theta: float, gamma: float, df: float) -> float:

@@ -42,7 +42,12 @@ _SERIES_Z_MAX = 700.0
 _SERIES_TERM_CAP = 1000
 # Rows per block of the series workspace (about 2 MB at 250 terms).
 _SERIES_BLOCK = 1024
-_MIXTURE_TAIL = 1e-12
+_MIXTURE_TAIL = 1e-17
+# stirlerr(k) = log k! - (k + 1/2) log k + k - log(2 pi) / 2 for k = 1..35,
+# where lgamma still resolves it (index 0 is unused)
+_STIRLERR_HEAD = np.array([0.0] + [
+    math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(2.0 * math.pi)
+    for k in range(1, 36)])
 
 
 @dataclass(frozen=True)
@@ -344,13 +349,53 @@ def chisq_quantile(p: float, df: float) -> float:
     return max(0.0, y)
 
 
+def _log_poisson_weights(k: np.ndarray, lam: float) -> np.ndarray:
+    """log(lam^k e^-lam / k!) over an ascending arange k >= 0, to a few ulps
+    of its size.
+
+    Loader's saddle-point form -bd0 - stirlerr(k) - log(2 pi k) / 2 keeps
+    k log lam, lam and log k!, each near 1e4 at lam = 2500, from cancelling:
+    bd0 = k log(k / lam) + lam - k is summed from two terms of the size of
+    k - lam, and stirlerr, the error of Stirling's formula for log k!, comes
+    from its asymptotic series above k = 35 and from a table below.
+    """
+    k1 = np.maximum(k, 1.0)  # k = 0 has log weight -lam, set at the end
+    d = k1 - lam
+    inv2 = 1.0 / (k1 * k1)
+    stirlerr = (((-1.0 / 1680) * inv2 + 1.0 / 1260) * inv2 - 1.0 / 360) * inv2 + 1.0 / 12
+    stirlerr /= k1
+    if k1[0] <= 35.0:
+        head = int(np.searchsorted(k1, 35.5))
+        stirlerr[:head] = _STIRLERR_HEAD[k1[:head].astype(np.intp)]
+    log_w = d - k1 * np.log1p(d / lam) - stirlerr - 0.5 * np.log(2.0 * math.pi * k1)
+    if k[0] == 0.0:
+        log_w[0] = -lam
+    return log_w
+
+
+def _tail_negligible(edge: float, inner: float) -> bool:
+    """Whether terms beyond ``edge`` sum below 1e-17 of the largest term.
+
+    ``edge`` and its neighbour ``inner`` are relative to the largest term.
+    The mixture terms are log-concave in k, so past the edge they fall at
+    least by the ratio r = edge / inner per step and sum to at most
+    edge r / (1 - r).  An edge term that underflows to 0 leaves a tail no
+    larger than its central chi-squared factor, below 1e-308.
+    """
+    return edge == 0.0 or (edge < inner and edge * edge <= _MIXTURE_TAIL * (inner - edge))
+
+
 def noncentral_chisq_sf(y: float, dist: NoncentralChiSq) -> float:
     """Survival function P(Y > y) of a noncentral chi-squared variable.
 
-    Computed as a Poisson(noncentrality/2)-weighted mixture of central
-    chi-squared survival functions.  The mixture window is centered on the
-    Poisson mode and widened until the neglected weight is below 1e-12, so
-    the truncation error never exceeds that mass.
+    Computed as the Poisson(noncentrality/2) mixture of central chi-squared
+    survival functions, sum_k w_k Q(df/2 + k, y/2), in log scale and
+    relative to its largest term.  The window starts around the k where the
+    terms peak, which in the far upper tail is the peak of the Bessel
+    series of the density at y rather than the Poisson mode, and widens on
+    each side until the terms it leaves out sum below 1e-17 of the largest.
+    So the value keeps its relative precision however far in the tail y
+    lies, down to the underflow of double precision.
     """
     if y < 0 or not math.isfinite(y):
         raise DomainError(f"survival-function argument must be nonnegative, got {y}")
@@ -361,24 +406,30 @@ def noncentral_chisq_sf(y: float, dist: NoncentralChiSq) -> float:
     if y == 0.0:
         return 1.0
 
-    half_width = 8.5 * math.sqrt(lam) + 25.0
-    k_lo = max(0, int(math.floor(lam - half_width)))
-    k_hi = int(math.ceil(lam + half_width))
-    log_lam = math.log(lam)
+    a, x = dist.df / 2.0, y / 2.0
+    centre = max(lam, 0.5 * (math.sqrt(a * a + 4.0 * lam * x) - a))
+    half_width = int(math.ceil(8.5 * math.sqrt(centre) + 25.0))
+    k_lo = max(0, int(centre) - half_width)
+    k_hi = int(centre) + half_width
     for _ in range(60):
         k = np.arange(k_lo, k_hi + 1, dtype=float)
-        weights = np.exp(k * log_lam - lam - _sp.gammaln(k + 1.0))
-        neglected = 1.0 - float(weights.sum())
-        if neglected < _MIXTURE_TAIL:
+        q = _sp.gammaincc(a + k, x)
+        # a factor that underflows to 0 gives a term of log -inf
+        log_terms = _log_poisson_weights(k, lam) + np.log(q, out=np.full_like(q, -np.inf),
+                                                          where=q > 0.0)
+        peak = float(log_terms.max())
+        if peak == -math.inf:
+            return 0.0  # every term is below the smallest subnormal
+        terms = np.exp(log_terms - peak)
+        grow_lo = k_lo > 0 and not _tail_negligible(float(terms[0]), float(terms[1]))
+        grow_hi = not _tail_negligible(float(terms[-1]), float(terms[-2]))
+        if not (grow_lo or grow_hi):
             break
-        k_lo = max(0, k_lo - 32)
-        k_hi += 32
-    else:  # pragma: no cover - coverage grows monotonically with the window
-        raise SeriesError("Poisson mixture window failed to capture 1 - 1e-12 mass")
-
-    sf_terms = _sp.gammaincc(dist.df / 2.0 + k, y / 2.0)
-    total = float(weights @ sf_terms)
-    return min(1.0, max(0.0, total))
+        k_lo = max(0, k_lo - half_width) if grow_lo else k_lo
+        k_hi = k_hi + half_width if grow_hi else k_hi
+    else:  # pragma: no cover - the terms fall faster than geometrically
+        raise SeriesError("Poisson mixture window failed to reach a 1e-17 relative tail")
+    return min(1.0, math.exp(peak) * float(terms.sum()))
 
 
 def sample_noncentral_chisq(dist: NoncentralChiSq, n: int, seed: int) -> np.ndarray:

@@ -10,6 +10,7 @@ scaled Bessel function.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
@@ -187,3 +188,54 @@ def expfam_boundary_mp(theta: float, gamma: float, kind: str, theta0: float, n: 
 
         (e1, a1), (e0, a0) = eta_and_a(theta), eta_and_a(theta0)
         return float((mp.log(mp.mpf(gamma)) + n * (a1 - a0)) / (e1 - e0))
+
+
+def rejection_boundary_mp(theta: float, gamma: float, df: float, y0: float) -> float:
+    """Root y of log g(y, theta) = log gamma in 30-digit mpmath.
+
+    log g is taken from its definition with ``mpmath.besseli`` and solved
+    by the secant method in u = log y, started from the float root ``y0``.
+    The series budget is raised so orders near 1.5e4 still converge.
+    """
+    with mp.workdps(30):
+        theta_, df_ = mp.mpf(theta), mp.mpf(df)
+        nu, target = df_ / 2 - 1, mp.log(mp.mpf(gamma))
+
+        def excess(u):
+            z = mp.sqrt(theta_ * mp.exp(u))
+            return (mp.loggamma(df_ / 2) - theta_ / 2 + nu * mp.log(2) - nu * mp.log(z)
+                    + mp.log(mp.besseli(nu, z, maxterms=10**6)) - target)
+
+        u0 = mp.log(mp.mpf(y0))
+        return float(mp.exp(mp.findroot(excess, (u0, u0 + mp.mpf("1e-10")))))
+
+
+def noncentral_chisq_sf_mp(y: float, df: float, theta: float) -> float:
+    """P(Y > y) as the Poisson(theta/2) mixture of central chi-squared tails.
+
+    Each term w_k Q(df/2 + k, y/2) is taken in 50-digit mpmath.  The sum
+    starts at the largest term, found by walking uphill from k = theta/2
+    (the terms are log-concave in k), and runs down to k = 0 or until the
+    terms fall 1e-40 below it, then up until they do.
+    """
+    with mp.workdps(50):
+        lam, a, x = mp.mpf(theta) / 2, mp.mpf(df) / 2, mp.mpf(y) / 2
+
+        @functools.lru_cache(maxsize=None)
+        def term(k):
+            weight = mp.exp(k * mp.log(lam) - lam - mp.loggamma(k + 1))
+            return weight * mp.gammainc(a + k, x, mp.inf, regularized=True)
+
+        k = int(lam)
+        while term(k + 1) > term(k):
+            k += 1
+        while k > 0 and term(k - 1) > term(k):
+            k -= 1
+        peak = term(k)
+        total, j = peak, k - 1
+        while j >= 0 and (t := term(j)) > peak * mp.mpf("1e-40"):
+            total, j = total + t, j - 1
+        j = k + 1
+        while (t := term(j)) > peak * mp.mpf("1e-40"):
+            total, j = total + t, j + 1
+        return float(total)

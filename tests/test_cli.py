@@ -247,6 +247,15 @@ class TestPowerCommand:
             ("4", "6", "0.432675"),
         ]
 
+    def test_far_tail_row(self):
+        # the 50-digit Poisson mixture gives 1.44998495314e-93
+        code, out, _ = invoke(["power", "--df", "6", "--gamma", "3.46",
+                               "--theta-grid", "3000:3000:1",
+                               "--theta-t-grid", "50:50:1"])
+        assert code == 0
+        _, rows = parse_plain(out)
+        assert rows == [{"theta_t": "50", "theta": "3000", "h": "1.449984953e-93"}]
+
     def test_bad_grid_spec(self):
         code, _, err = invoke(["power", "--df", "2", "--gamma", "3",
                                "--theta-grid", "1:2"])

@@ -13,6 +13,7 @@ from umpbt import (
     ExpFamilyModel,
     NoRootError,
     NoncentralChiSq,
+    SolverError,
     chisq_quantile,
     expfam_boundary,
     expfam_log_bf,
@@ -50,6 +51,55 @@ class TestRejectionBoundary:
         log_gamma = math.log(3.46)
         for theta, bnd in zip(thetas, grid):
             assert abs(log_bf_ncchisq(float(bnd), float(theta), 6.0) - log_gamma) <= 1e-9
+
+    # Alternatives span the scan range 1e-4 .. 10 (df + 2 log gamma); at df
+    # 100.6 the top element has z > 700, and every order at df 3e4 takes the
+    # uniform expansion.  There the scan top stops at 3e4, since mpmath's
+    # series needs seconds per value beyond, and the bound is 1e-10: log g
+    # sums terms near 1e5 whose rounding alone moves the root by ~3e-11.
+    @pytest.mark.parametrize("df,gamma,theta_max,rel", [
+        (0.5, 3.0, 26.97, 1e-13),
+        (6.0, 3.46, 84.83, 1e-13),
+        (100.6, 87.33, 1095.4, 1e-13),
+        (3e4, 3.0, 3e4, 1e-10),
+    ])
+    def test_grid_against_mpmath_root(self, df, gamma, theta_max, rel):
+        thetas = np.geomspace(1e-4, theta_max, 10)
+        grid = rejection_boundary_grid(thetas, gamma, df)
+        for theta, bnd in zip(thetas, grid):
+            exact = oracles.rejection_boundary_mp(float(theta), gamma, df, float(bnd))
+            assert bnd == pytest.approx(exact, rel=rel, abs=0.0)
+        if df == 100.6:
+            assert math.sqrt(thetas[-1] * grid[-1]) > 700.0
+
+    def test_grid_equal_alternatives_give_equal_bits(self):
+        # dominance_check's zero self-margin relies on this
+        thetas = np.array([7.31, 0.02, 7.31, 300.0, 7.31, 1.5])
+        grid = rejection_boundary_grid(thetas, 3.46, 6.0)
+        assert grid[0] == grid[2] == grid[4]
+
+    def test_grid_empty(self):
+        for empty in (np.array([]), np.empty((0, 3))):
+            out = rejection_boundary_grid(empty, 3.0, 6.0)
+            assert out.shape == empty.shape and out.dtype == float
+        with pytest.raises(NoRootError):
+            rejection_boundary_grid(np.array([]), 1.0, 6.0)
+        with pytest.raises(DomainError):
+            rejection_boundary_grid(np.array([]), 3.0, 0.0)
+
+    def test_grid_domain_errors(self):
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                rejection_boundary_grid(np.array([2.0, bad]), 3.0, 6.0)
+
+    def test_grid_reports_unconverged_root(self, monkeypatch):
+        from umpbt import solver
+
+        core = solver._log_bf_core
+        monkeypatch.setattr(solver, "_log_bf_core", lambda y, theta, df: np.where(
+            theta == 2.0, math.nan, core(y, theta, df)))
+        with pytest.raises(SolverError, match=r"gamma=3\.0, df=6\.0"):
+            rejection_boundary_grid(np.array([1.0, 2.0]), 3.0, 6.0)
 
     def test_threshold_at_or_below_one_has_no_upper_region(self):
         with pytest.raises(NoRootError):

@@ -355,6 +355,38 @@ class TestNoncentralSf:
         value = noncentral_chisq_sf(2100.0, NoncentralChiSq(10.0, 2000.0))
         assert value == pytest.approx(float(ncx2.sf(2100.0, 10.0, 2000.0)), abs=1e-10)
 
+    # (y, df, theta): the terms peak far above the Poisson mode at the first
+    @pytest.mark.parametrize("y,df,theta,expected", [
+        (1000.0, 6.0, 50.0, 8.724546243853922e-132),
+        (400.0, 2.0, 5.0, 2.019367961566072e-70),
+        (200.0, 6.0, 7.3, 7.966324281283144e-29),
+    ])
+    def test_far_tail_points(self, y, df, theta, expected):
+        exact = oracles.noncentral_chisq_sf_mp(y, df, theta)
+        assert exact == pytest.approx(expected, rel=1e-15)
+        value = noncentral_chisq_sf(y, NoncentralChiSq(df, theta))
+        assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("df", [0.5, 6.0, 100.6])
+    @pytest.mark.parametrize("theta", [0.01, 7.3, 50.0, 500.0])
+    def test_against_mixture_oracle(self, df, theta):
+        """Relative 1e-12 from the bulk to the far tail, wherever the value
+        exceeds 1e-300."""
+        mean, sd = df + theta, math.sqrt(2.0 * (df + 2.0 * theta))
+        spreads = (0.0,) if theta == 500.0 else (-2.0, 0.0, 3.0, 10.0, 30.0, 100.0)
+        for y in [mean + c * sd for c in spreads if mean + c * sd > 0.0] + [4.0 * mean + 40.0]:
+            exact = oracles.noncentral_chisq_sf_mp(y, df, theta)
+            if exact > 1e-300:
+                value = noncentral_chisq_sf(y, NoncentralChiSq(df, theta))
+                assert value == pytest.approx(exact, rel=1e-12, abs=0.0), y
+
+    def test_large_noncentrality_relative_error(self):
+        # log k!, k log lam and lam each near 1e4 here; summed directly
+        # they lose 1.6e-12 of the weights
+        value = noncentral_chisq_sf(4293.38, NoncentralChiSq(0.5, 5000.0))
+        exact = oracles.noncentral_chisq_sf_mp(4293.38, 0.5, 5000.0)
+        assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             noncentral_chisq_sf(-1.0, NoncentralChiSq(6.0, 1.0))
