@@ -10,7 +10,7 @@ each (df, gamma) ``solve`` entry with ``solve_umpbt_chisq``, and compares
 gamma and theta* with ``==``.  The benchmark gate allows 1e-8 relative;
 this check shows whether a change to the solver keeps the recorded values
 bit for bit.  It prints each mismatch and their count, and exits 1 when
-there is any.  It takes about a minute.
+there is any.  It takes about 25 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
