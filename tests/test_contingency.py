@@ -69,6 +69,28 @@ class TestParseTable:
         with pytest.raises(ValidationError):
             parse_table(b"")
 
+    def test_invalid_utf8_names_byte_offset(self):
+        with pytest.raises(ParseError, match=r"byte offset 6: 0xff is not valid UTF-8"):
+            parse_table(b"a,b\n1,\xff\n3,4\n", has_header=True)
+
+    def test_integer_counts_read_exactly(self):
+        table = parse_table(b"1,9007199254740993\n1e3,4\n")
+        np.testing.assert_array_equal(table.counts, [[1, 9007199254740993], [1000, 4]])
+        assert table.grand_total == 9007199254741998
+
+    def test_count_beyond_int64_names_its_cell(self):
+        with pytest.raises(ValidationError,
+                           match=r"row 2, column 1: count '9223372036854775808' "
+                                 r"exceeds the int64 range"):
+            parse_table(b"1,2\n9223372036854775808,4\n")
+
+    @pytest.mark.parametrize("corner", [2**62, 5])
+    def test_total_beyond_int64_is_rejected(self, corner):
+        counts = np.full((2, 2), 2**62, dtype=np.int64)
+        counts[1, 1] = corner
+        with pytest.raises(ValidationError, match=r"grand total \d+ exceeds the int64 range"):
+            ContingencyTable(counts)
+
     def test_text_stream_accepted(self):
         import io
 

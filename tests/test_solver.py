@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from umpbt import (
+    BracketingError,
     ChiSqTestSpec,
     CurvePoint,
     DomainError,
@@ -25,6 +26,7 @@ from umpbt import (
     rejection_boundary_grid,
     solve_umpbt_chisq,
     solve_umpbt_expfam,
+    solver,
 )
 
 
@@ -204,6 +206,61 @@ class TestMatchGammaToAlpha:
     def test_requires_alpha(self):
         with pytest.raises(DomainError):
             match_gamma_to_alpha(ChiSqTestSpec(df=6.0, gamma=3.0))
+
+
+class TestMatchedThresholdReuse:
+    """The theta-maximization of a match is solved once per (y_alpha, df)."""
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 6.0, 120.0, 1e5])
+    def test_repeat_returns_fresh_bits(self, df):
+        spec = ChiSqTestSpec(df=df, alpha=0.05)
+        first, repeat = match_gamma_to_alpha(spec), match_gamma_to_alpha(spec)
+        solver._matched_maximum.cache_clear()
+        fresh = match_gamma_to_alpha(spec)
+        assert repeat == fresh and first == fresh
+        assert solver._matched_maximum.cache_info().currsize == 1
+
+    def test_repeat_reads_quantile_but_solves_nothing(self, monkeypatch):
+        calls = {"core": 0, "quantile": 0}
+        core, quantile = solver._log_bf_core, solver.chisq_quantile
+
+        def counting_core(*args):
+            calls["core"] += 1
+            return core(*args)
+
+        def counting_quantile(*args):
+            calls["quantile"] += 1
+            return quantile(*args)
+
+        monkeypatch.setattr(solver, "_log_bf_core", counting_core)
+        monkeypatch.setattr(solver, "chisq_quantile", counting_quantile)
+        spec = ChiSqTestSpec(df=6.0, alpha=0.05)
+        match_gamma_to_alpha(spec)
+        assert calls["core"] > 0 and calls["quantile"] == 1
+        calls.update(core=0, quantile=0)
+        match_gamma_to_alpha(spec)
+        assert calls == {"core": 0, "quantile": 1}
+
+    def test_failures_are_not_stored(self):
+        spec = ChiSqTestSpec(df=6.0, alpha=0.42319)
+        for _ in range(2):
+            with pytest.raises(BracketingError,
+                               match=r"matched threshold for alpha=0\.42319, df=6\.0"):
+                match_gamma_to_alpha(spec)
+        assert solver._matched_maximum.cache_info().currsize == 0
+
+    def test_oldest_pairs_are_evicted(self):
+        cached = solver._matched_maximum
+        bound = cached.cache_info().maxsize
+        ys = [7.0 + 0.05 * k for k in range(bound + 2)]
+        for y in ys:
+            cached(y, 6.0)
+        assert cached.cache_info().currsize == bound
+        misses = cached.cache_info().misses
+        cached(ys[-1], 6.0)
+        assert cached.cache_info().misses == misses
+        cached(ys[0], 6.0)
+        assert cached.cache_info().misses == misses + 1
 
 
 class TestExpFamilyBoundary:
