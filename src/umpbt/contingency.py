@@ -220,7 +220,7 @@ def independence_bf(table: ContingencyTable, alpha: float = 0.05) -> Independenc
     the Bayes factor at the observed statistic.  Tables with the same
     degrees of freedom at the same alpha share one matched solve per
     process (see :func:`match_gamma_to_alpha`, keyed on (y_alpha, df) and
-    bounded at 128 pairs).
+    the Bayes-factor evaluator, and bounded at 128 keys).
     """
     statistic, df = pearson_statistic(table)
     solution = match_gamma_to_alpha(ChiSqTestSpec(df=float(df), alpha=alpha))

@@ -26,8 +26,8 @@ because r(theta) >= y_alpha for every theta exactly when g(y_alpha, theta)
 never exceeds gamma.  The matched threshold is therefore found by a single
 one-dimensional maximization instead of an outer root search in gamma.
 That maximization depends on (y_alpha, df) alone, so each process solves
-it once per pair and keeps the 128 most recent pairs; every other solve
-here runs afresh on each call.
+it once per pair (and per Bayes-factor evaluator) and keeps the 128 most
+recent; every other solve here runs afresh on each call.
 """
 
 from __future__ import annotations
@@ -261,23 +261,29 @@ def solve_umpbt_chisq(spec: ChiSqTestSpec) -> UmpbtSolution:
 
 
 @functools.lru_cache(maxsize=128)
-def _matched_maximum(y_alpha: float, df: float) -> tuple[float, float]:
+def _matched_maximum(y_alpha: float, df: float, log_bf_core) -> tuple[float, float]:
     """(theta*, -log gamma) of max_theta g(y_alpha, theta), once per process.
 
     The maximum depends on nothing but (y_alpha, df), so every table of
     the same shape tested at the same alpha reuses one scan and golden
     section.  The key is y_alpha, not alpha, so every match still computes
     its quantile, whose calls the benchmark's traced run requires on each
-    ``contingency`` round.  The 128 most recent pairs are kept; a failed
-    scan is not stored.
+    ``contingency`` round.  The evaluator ``log_bf_core`` is part of the
+    key: an entry holds what that function computed, so rebinding
+    ``solver._log_bf_core`` (a test double, a tracing wrapper) solves
+    afresh instead of reading another function's maxima.  The 128 most
+    recent keys are kept: enough for the few pairs that table tests
+    repeat (28 in the benchmark's ``contingency`` round), and deliberately
+    not for a df sweep, whose distinct pairs (480 in a ``curve`` round)
+    miss every time.  A failed scan is not stored.
     """
     y_arr = np.array([y_alpha])
 
     def neg_log_bf(theta: float) -> float:
-        return -float(_log_bf_core(y_arr, np.array([theta]), df)[0])
+        return -float(log_bf_core(y_arr, np.array([theta]), df)[0])
 
     return _scan_minimum(
-        lambda t: -_log_bf_core(np.full_like(t, y_alpha), t, df),
+        lambda t: -log_bf_core(np.full_like(t, y_alpha), t, df),
         neg_log_bf,
         4.0 * y_alpha + df + 10.0,
         f"the matched threshold at y_alpha={y_alpha}, df={df}",
@@ -294,8 +300,8 @@ def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
     maximizer, so the minimal boundary equals y_alpha exactly.
 
     y_alpha is computed on every call; the maximization over theta is
-    reused from an earlier call with the same (y_alpha, df), among the 128
-    most recent such pairs in this process.
+    reused from an earlier call with the same (y_alpha, df) and the same
+    ``_log_bf_core``, among the 128 most recent such keys in this process.
     """
     if spec.alpha is None:
         raise DomainError("match_gamma_to_alpha requires a spec with alpha set")
@@ -310,7 +316,7 @@ def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
             f"below P(chi2_df > df) = {1.0 - chisq_cdf(df, df):.4g}"
         )
     try:
-        theta_star, neg_best = _matched_maximum(y_alpha, df)
+        theta_star, neg_best = _matched_maximum(y_alpha, df, _log_bf_core)
     except BracketingError:
         raise BracketingError(
             f"could not bracket the matched threshold for alpha={alpha}, df={df}"

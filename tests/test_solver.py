@@ -209,7 +209,8 @@ class TestMatchGammaToAlpha:
 
 
 class TestMatchedThresholdReuse:
-    """The theta-maximization of a match is solved once per (y_alpha, df)."""
+    """The theta-maximization of a match is solved once per (y_alpha, df)
+    and Bayes-factor evaluator."""
 
     @pytest.mark.parametrize("df", [0.5, 1.0, 6.0, 120.0, 1e5])
     def test_repeat_returns_fresh_bits(self, df):
@@ -249,17 +250,31 @@ class TestMatchedThresholdReuse:
                 match_gamma_to_alpha(spec)
         assert solver._matched_maximum.cache_info().currsize == 0
 
+    def test_rebound_evaluator_solves_afresh(self, monkeypatch):
+        spec = ChiSqTestSpec(df=6.0, alpha=0.05)
+        before = match_gamma_to_alpha(spec)
+        calls = []
+        core = solver._log_bf_core
+
+        def counting_core(*args):
+            calls.append(1)
+            return core(*args)
+
+        monkeypatch.setattr(solver, "_log_bf_core", counting_core)
+        assert match_gamma_to_alpha(spec) == before and calls
+        assert solver._matched_maximum.cache_info().currsize == 2
+
     def test_oldest_pairs_are_evicted(self):
         cached = solver._matched_maximum
         bound = cached.cache_info().maxsize
         ys = [7.0 + 0.05 * k for k in range(bound + 2)]
         for y in ys:
-            cached(y, 6.0)
+            cached(y, 6.0, solver._log_bf_core)
         assert cached.cache_info().currsize == bound
         misses = cached.cache_info().misses
-        cached(ys[-1], 6.0)
+        cached(ys[-1], 6.0, solver._log_bf_core)
         assert cached.cache_info().misses == misses
-        cached(ys[0], 6.0)
+        cached(ys[0], 6.0, solver._log_bf_core)
         assert cached.cache_info().misses == misses + 1
 
 
