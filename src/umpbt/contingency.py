@@ -53,6 +53,12 @@ class ContingencyTable:
         if not np.issubdtype(counts.dtype, np.integer):
             if not np.all(counts == np.floor(counts)):
                 raise ValidationError("counts must be integers")
+            # inf passes the integer test, and the cast would wrap it
+            big = np.argwhere(np.abs(counts) >= 2.0**63)
+            if big.size:
+                i, j = big[0]
+                raise ValidationError(f"row {i + 1}, column {j + 1}: count "
+                                      f"{float(counts[i, j])!r} exceeds the int64 range")
             counts = counts.astype(np.int64)
         if np.any(counts < 0):
             raise ValidationError("counts must be nonnegative")
@@ -112,19 +118,16 @@ def parse_table(source, has_header: bool = False,
     positions in error messages are 1-based and count raw file rows and
     columns, header and label cells included.
     """
-    if isinstance(source, bytes):
-        text = source
-    elif hasattr(source, "read"):
-        text = source.read()
-    else:
+    if not isinstance(source, bytes) and not hasattr(source, "read"):
         raise ParseError(f"unsupported source type {type(source).__name__}")
-    if isinstance(text, bytes):
-        try:
+    try:
+        # a text stream decodes as it reads, so its errors surface here too
+        text = source if isinstance(source, bytes) else source.read()
+        if isinstance(text, bytes):
             text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"byte offset {exc.start}: 0x{text[exc.start]:02x} is not valid UTF-8"
-            ) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte offset {exc.start}: 0x{exc.object[exc.start]:02x} "
+                         f"is not valid {exc.encoding.upper()}") from None
 
     rows = [row for row in _csv_reader(io.StringIO(text))]
     # drop trailing blank lines

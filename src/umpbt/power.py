@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +31,6 @@ __all__ = [
 
 # numerical slack allowed on H(theta) - H(theta*) before dominance fails
 DOMINANCE_MARGIN_TOL = 1e-10
-
-_MC_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -148,11 +144,22 @@ def dominance_check(gamma: float, df: float, theta_grid=None,
     )
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _first_rejection(draws: np.ndarray, thetas: np.ndarray, log_gamma: float,
+                     df: float) -> np.ndarray:
+    """Sort ``draws`` in place; per theta, the index of the first that rejects.
+
+    log g increases in the statistic, so the rejecting draws are a tail of
+    the sorted array, found by one bisection vectorized across ``thetas``.
+    """
+    draws.sort()
+    lo = np.zeros(thetas.shape, dtype=np.intp)
+    hi = np.full(thetas.shape, draws.size, dtype=np.intp)
+    while (open_rows := np.flatnonzero(lo < hi)).size:
+        mid = (lo[open_rows] + hi[open_rows]) // 2
+        rejects = _log_bf_core(draws[mid], thetas[open_rows], df) > log_gamma
+        hi[open_rows[rejects]] = mid[rejects]
+        lo[open_rows[~rejects]] = mid[~rejects] + 1
+    return lo
 
 
 def mc_rejection_rate(theta, theta_t, gamma: float, df: float, n_draws: int,
@@ -164,12 +171,11 @@ def mc_rejection_rate(theta, theta_t, gamma: float, df: float, n_draws: int,
     ``theta_t`` broadcast like a ufunc's arguments; two scalars give a float.
 
     Each distinct ``theta_t`` is drawn once, as a scalar call draws it, and
-    every ``theta`` paired with it counts hits on those draws.  Every (pair,
-    16,384-draw chunk) task runs on one thread pool, a worker per usable CPU
-    (numpy releases the GIL in the Bessel series), while this thread draws
-    the next ``theta_t``; at most two draw arrays (``n_draws`` x 8 bytes
-    each) are alive at once.  A rate is an integer sum of chunk counts over
-    ``n_draws``, so it is bit for bit the same for any worker count.
+    its draws are sorted.  Every ``theta`` paired with it rejects on a tail
+    of them, since log g increases in the statistic; a bisection over the
+    draws finds the tail with ceil(log2(n_draws + 1)) evaluations of log g
+    at actual draws, and no boundary solve.  One draw array is alive at a
+    time.
     """
     if not (gamma > 1) or not math.isfinite(gamma):
         raise DomainError(f"evidence threshold must exceed 1, got {gamma}")
@@ -183,27 +189,16 @@ def mc_rejection_rate(theta, theta_t, gamma: float, df: float, n_draws: int,
         raise DomainError(f"theta_t must be finite and nonnegative, got {bad[0]}")
     if isinstance(n_draws, bool) or not hasattr(n_draws, "__index__") or n_draws < 1:
         raise DomainError(f"n_draws must be an integer of at least 1, got {n_draws!r}")
+    if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     n_draws = operator.index(n_draws)
     log_gamma = math.log(gamma)
     distinct_ts, t_index = np.unique(theta_ts.ravel(), return_inverse=True)
-    live, tasks = {}, {}  # tasks look their draws up in live, so popping frees them
     hits = np.zeros(thetas.shape, dtype=np.int64)
-
-    def count_hits(k: int, row: int, start: int) -> int:
-        chunk = live[k][start:start + _MC_CHUNK]
-        theta_row = np.broadcast_to(thetas.flat[row], chunk.shape)
-        return int(np.count_nonzero(_log_bf_core(chunk, theta_row, df) > log_gamma))
-
-    with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        for k in range(len(distinct_ts) + 2):
-            # count theta_t number k - 2 and free its draws before drawing number k
-            for row, future in tasks.pop(k - 2, ()):
-                hits.flat[row] += future.result()  # re-raises a chunk's exception
-            live.pop(k - 2, None)
-            if k < len(distinct_ts):
-                dist = NoncentralChiSq(df, float(distinct_ts[k]))
-                live[k] = sample_noncentral_chisq(dist, n_draws, seed)
-                tasks[k] = [(row, pool.submit(count_hits, k, row, start))
-                            for row in np.flatnonzero(t_index == k)
-                            for start in range(0, n_draws, _MC_CHUNK)]
+    for k, value in enumerate(distinct_ts):
+        rows = np.flatnonzero(t_index == k)
+        dist = NoncentralChiSq(df, float(value))
+        first = _first_rejection(sample_noncentral_chisq(dist, n_draws, seed),
+                                 thetas.flat[rows], log_gamma, df)
+        hits.flat[rows] = n_draws - first
     return hits / n_draws if hits.ndim else float(hits / n_draws)

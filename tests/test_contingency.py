@@ -1,6 +1,8 @@
 """Contingency layer: CSV parsing, Pearson statistic, independence Bayes factor."""
 
+import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -91,11 +93,25 @@ class TestParseTable:
         with pytest.raises(ValidationError, match=r"grand total \d+ exceeds the int64 range"):
             ContingencyTable(counts)
 
-    def test_text_stream_accepted(self):
-        import io
+    @pytest.mark.parametrize("count, shown", [
+        (math.inf, "inf"), (1e19, "1e+19"), (2.0**63, "9.223372036854776e+18"),
+    ])
+    def test_float_count_beyond_int64_is_rejected(self, count, shown):
+        # a cast to int64 would wrap these (with a RuntimeWarning) before any check
+        counts = np.ones((2, 3))
+        counts[1, 2] = count
+        with pytest.raises(ValidationError, match=rf"row 2, column 3: count {re.escape(shown)} "
+                                                  r"exceeds the int64 range"):
+            ContingencyTable(counts)
 
+    def test_text_stream_accepted(self):
         table = parse_table(io.StringIO("5,6\n7,8\n"))
         assert table.grand_total == 26
+
+    def test_text_stream_invalid_utf8_names_byte_offset(self):
+        stream = io.TextIOWrapper(io.BytesIO(b"1,\xff\n3,4\n"), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"byte offset 2: 0xff is not valid UTF-8"):
+            parse_table(stream)
 
 
 class TestPearsonStatistic:

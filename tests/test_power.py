@@ -1,8 +1,6 @@
 """Power layer: rejection probabilities, dominance grids, Monte Carlo rates."""
 
 import math
-import sys
-import threading
 import weakref
 
 import numpy as np
@@ -103,7 +101,7 @@ class TestMcRejectionRate:
         assert a == b
 
     # three full 16,384-draw chunks plus a 5-draw tail; hit counts recorded
-    # with the single-threaded chunk loop
+    # when every draw's log Bayes factor was evaluated, in 16,384-draw chunks
     PINNED_DRAWS = 3 * 16384 + 5
     PINNED_HITS = {7: 8732, 2026: 8603}
 
@@ -113,51 +111,54 @@ class TestMcRejectionRate:
         assert type(rate) is float
         assert rate == self.PINNED_HITS[seed] / self.PINNED_DRAWS
 
-    @pytest.mark.parametrize("cpus", [1, 4])
-    def test_rate_independent_of_worker_count(self, monkeypatch, cpus):
-        # the workers build the shared series tables at once and switch
-        # every microsecond; any interference between them moves the count
-        monkeypatch.setattr(power, "_usable_cpus", lambda: cpus)
-        special._series_table.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rate = mc_rejection_rate(7.0, 3.5, 5.0, 6.0, self.PINNED_DRAWS, seed=7)
-        finally:
-            sys.setswitchinterval(interval)
-        assert rate == self.PINNED_HITS[7] / self.PINNED_DRAWS
+    @pytest.mark.parametrize("df, gammas", [
+        (0.5, (1.01, 2.0)),
+        (2.929, (3.0, 40.0)),
+        (6.0, (3.46, 1e4)),
+        (17.16, (22.53, 1.5)),
+        (100.6, (87.33, 5.0)),
+    ])
+    @pytest.mark.parametrize("seed", [3, 2026])
+    def test_rates_equal_per_draw_counts(self, df, gammas, seed):
+        # every draw's log Bayes factor against gamma, with the same seeded
+        # draws; the grids scale with df, so rates span 0 to 1
+        thetas = np.array([0.1, 1.0, 10.0])[:, None] * (df + 2.0)
+        theta_ts = np.array([0.0, 4.0 * (df + 2.0)])
+        for i, n in enumerate([1, 2, 5, 3 * 16384 + 5, 65536]):
+            gamma = gammas[i % len(gammas)]
+            rates = mc_rejection_rate(thetas, theta_ts, gamma, df, n, seed=seed)
+            for col, theta_t in enumerate(theta_ts):
+                draws = special.sample_noncentral_chisq(
+                    special.NoncentralChiSq(df, float(theta_t)), n, seed)
+                for row, theta in enumerate(thetas[:, 0]):
+                    log_bf = power._log_bf_core(draws, np.full(n, theta), df)
+                    hits = np.count_nonzero(log_bf > math.log(gamma))
+                    assert rates[row, col] == hits / n, (n, gamma, theta, theta_t)
 
-    @pytest.mark.skipif(power._usable_cpus() < 2, reason="needs two usable CPUs")
-    def test_chunks_run_on_several_threads(self, monkeypatch):
-        # the first two chunks meet at a barrier, which one thread alone
-        # cannot pass: it would wait inside its first chunk until the timeout
-        barrier = threading.Barrier(2, timeout=30)
-        lock = threading.Lock()
-        threads = []
+    @pytest.mark.parametrize("n", [1, 2, 5, 3 * 16384 + 5, 65536])
+    def test_log_bayes_factor_evaluations_bounded(self, monkeypatch, n):
+        elems = [0]
         core = power._log_bf_core
 
-        def recording_core(y, theta, df):
-            with lock:
-                threads.append(threading.get_ident())
-                first_two = len(threads) <= 2
-            if first_two:
-                barrier.wait()
+        def counting_core(y, theta, df):
+            elems[0] += np.size(y)
             return core(y, theta, df)
 
-        monkeypatch.setattr(power, "_log_bf_core", recording_core)
-        rate = mc_rejection_rate(7.0, 3.5, 5.0, 6.0, self.PINNED_DRAWS, seed=7)
-        assert rate == self.PINNED_HITS[7] / self.PINNED_DRAWS
-        assert len(threads) == 4
-        assert len(set(threads)) > 1
+        monkeypatch.setattr(power, "_log_bf_core", counting_core)
+        thetas = np.array([0.05, 2.5, 7.0, 60.0])[:, None]
+        theta_ts = np.array([0.0, 3.5, 9.0])
+        mc_rejection_rate(thetas, theta_ts, 5.0, 6.0, n, seed=7)
+        rows = thetas.size * theta_ts.size
+        assert 0 < elems[0] <= rows * (math.ceil(math.log2(n + 1)) + 1)
 
-    @pytest.mark.parametrize("cpus", [1, 4])
-    def test_batched_rates_match_scalar_calls(self, monkeypatch, cpus):
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_batched_rates_match_scalar_calls(self, monkeypatch, seed):
         # an unsorted theta grid with a duplicate against repeated, out-of-order
         # theta_t values: 16 pairs over 3 distinct draw sets
         thetas = np.array([7.0, 2.5, 11.0, 2.5])[:, None]
         theta_ts = np.array([3.5, 0.0, 9.0, 0.0])
         expected = np.array([[mc_rejection_rate(float(a), float(b), 5.0, 6.0,
-                                                self.PINNED_DRAWS, seed=7)
+                                                self.PINNED_DRAWS, seed=seed)
                               for b in theta_ts] for a in thetas[:, 0]])
         sampled, alive, peak = [], [], [0]
 
@@ -169,19 +170,14 @@ class TestMcRejectionRate:
             return draws
 
         monkeypatch.setattr(power, "sample_noncentral_chisq", sampler)
-        monkeypatch.setattr(power, "_usable_cpus", lambda: cpus)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rates = mc_rejection_rate(thetas, theta_ts, 5.0, 6.0,
-                                      self.PINNED_DRAWS, seed=7)
-        finally:
-            sys.setswitchinterval(interval)
+        rates = mc_rejection_rate(thetas, theta_ts, 5.0, 6.0,
+                                  self.PINNED_DRAWS, seed=seed)
         assert rates.shape == (4, 4)
         assert np.array_equal(rates, expected)
         assert sorted(sampled) == [0.0, 3.5, 9.0]
-        assert peak[0] <= 2
+        assert peak[0] == 1
 
+    # the third column is the draw count, or the seed where name is "seed"
     @pytest.mark.parametrize("theta, theta_t, n_draws, name", [
         (2.0, 1.0, 0, "n_draws"),
         (2.0, 1.0, 2.5, "n_draws"),
@@ -193,15 +189,19 @@ class TestMcRejectionRate:
         (2.0, -1.0, 100, "theta_t"),
         (2.0, [0.0, math.inf], 100, "theta_t"),
         (2.0, math.nan, 100, "theta_t"),
+        (2.0, 1.0, 1.5, "seed"),
+        (2.0, 1.0, True, "seed"),
+        (2.0, 1.0, -1, "seed"),
     ])
     def test_validation_before_any_draw(self, monkeypatch, theta, theta_t,
                                         n_draws, name):
         def sampler(*args):
             raise AssertionError("drew before validating")
 
+        n_draws, seed = (100, n_draws) if name == "seed" else (n_draws, 1)
         monkeypatch.setattr(power, "sample_noncentral_chisq", sampler)
         with pytest.raises(DomainError, match=f"^{name} must be"):
-            mc_rejection_rate(theta, theta_t, 3.0, 4.0, n_draws, seed=1)
+            mc_rejection_rate(theta, theta_t, 3.0, 4.0, n_draws, seed=seed)
 
     def test_validation(self):
         with pytest.raises(DomainError):
