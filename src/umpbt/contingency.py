@@ -50,18 +50,18 @@ class ContingencyTable:
         counts = np.asarray(self.counts)
         if counts.ndim != 2:
             raise ValidationError(f"counts must be a matrix, got shape {counts.shape}")
+        if np.any(counts < 0):
+            raise ValidationError("counts must be nonnegative")
         if not np.issubdtype(counts.dtype, np.integer):
             if not np.all(counts == np.floor(counts)):
                 raise ValidationError("counts must be integers")
             # inf passes the integer test, and the cast would wrap it
-            big = np.argwhere(np.abs(counts) >= 2.0**63)
+            big = np.argwhere(counts >= 2.0**63)
             if big.size:
                 i, j = big[0]
                 raise ValidationError(f"row {i + 1}, column {j + 1}: count "
                                       f"{float(counts[i, j])!r} exceeds the int64 range")
             counts = counts.astype(np.int64)
-        if np.any(counts < 0):
-            raise ValidationError("counts must be nonnegative")
         r, c = counts.shape
         if r < 2 or c < 2:
             raise ValidationError(f"need at least a 2x2 table, got {r}x{c}")
