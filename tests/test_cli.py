@@ -291,6 +291,23 @@ class TestPowerCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: domain:")
 
+    def test_repeat_in_one_process_is_byte_identical(self):
+        from umpbt import dominance_check, solver
+
+        argv = ["power", "--df", "6", "--gamma", "3.46", "--mc", "4096", "--seed", "1"]
+        first, cached = invoke(argv), invoke(argv)
+        assert solver._minimal_boundary.cache_info().hits == 1
+        record, _ = parse_plain(cached[1])
+        assert record["dominance"] == "pass"
+        # the default grid misses theta*, so its margin is negative; a grid
+        # holding the cached theta* itself must give exactly zero
+        theta_star = solver._minimal_boundary(3.46, 6.0, solver._log_bf_core)[0]
+        assert solver._minimal_boundary.cache_info().hits == 2
+        assert dominance_check(3.46, 6.0, [1.0, theta_star, 30.0]).max_margin == 0.0
+        solver._minimal_boundary.cache_clear()
+        fresh = invoke(argv)
+        assert first == cached == fresh and cached[0] == 0
+
 
 class TestCurveCommand:
     def test_writes_plot_ready_csv(self, tmp_path):

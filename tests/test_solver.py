@@ -278,6 +278,76 @@ class TestMatchedThresholdReuse:
         assert cached.cache_info().misses == misses + 1
 
 
+class TestSolveReuse:
+    """The theta* search of a solve runs once per (gamma, df) and
+    Bayes-factor evaluator."""
+
+    @pytest.mark.parametrize("df, gamma", [(0.5, 1.5), (2.929, 5.814), (17.16, 22.53),
+                                           (100.6, 87.33), (1e5, 3.46)])
+    def test_repeat_returns_fresh_bits(self, df, gamma):
+        spec = ChiSqTestSpec(df=df, gamma=gamma)
+        first, repeat = solve_umpbt_chisq(spec), solve_umpbt_chisq(spec)
+        solver._minimal_boundary.cache_clear()
+        fresh = solve_umpbt_chisq(spec)
+        assert repeat == fresh and first == fresh
+        assert solver._minimal_boundary.cache_info().currsize == 1
+
+    def test_repeat_makes_no_bayes_factor_call(self, monkeypatch):
+        calls = []
+        core = solver._log_bf_core
+
+        def counting_core(*args):
+            calls.append(1)
+            return core(*args)
+
+        monkeypatch.setattr(solver, "_log_bf_core", counting_core)
+        spec = ChiSqTestSpec(df=6.0, gamma=3.46)
+        solve_umpbt_chisq(spec)
+        assert calls
+        calls.clear()
+        solve_umpbt_chisq(spec)
+        assert calls == []
+
+    def test_rebound_evaluator_solves_afresh(self, monkeypatch):
+        spec = ChiSqTestSpec(df=6.0, gamma=3.46)
+        before = solve_umpbt_chisq(spec)
+        calls = []
+        core = solver._log_bf_core
+
+        def counting_core(*args):
+            calls.append(1)
+            return core(*args)
+
+        monkeypatch.setattr(solver, "_log_bf_core", counting_core)
+        assert solve_umpbt_chisq(spec) == before and calls
+        assert solver._minimal_boundary.cache_info().currsize == 2
+
+    def test_failures_are_not_stored(self, monkeypatch):
+        # the non-converging evaluator of test_grid_reports_unconverged_root,
+        # here NaN at every alternative the scan tries above theta = 1
+        core = solver._log_bf_core
+        monkeypatch.setattr(solver, "_log_bf_core", lambda y, theta, df: np.where(
+            theta > 1.0, math.nan, core(y, theta, df)))
+        spec = ChiSqTestSpec(df=6.0, gamma=3.0)
+        for _ in range(2):
+            with pytest.raises(NoRootError, match=r"gamma=3\.0, df=6\.0"):
+                solve_umpbt_chisq(spec)
+        assert solver._minimal_boundary.cache_info().currsize == 0
+
+    def test_oldest_keys_are_evicted(self):
+        cached = solver._minimal_boundary
+        bound = cached.cache_info().maxsize
+        gammas = [2.0 + 0.05 * k for k in range(bound + 2)]
+        for gamma in gammas:
+            cached(gamma, 6.0, solver._log_bf_core)
+        assert cached.cache_info().currsize == bound
+        misses = cached.cache_info().misses
+        cached(gammas[-1], 6.0, solver._log_bf_core)
+        assert cached.cache_info().misses == misses
+        cached(gammas[0], 6.0, solver._log_bf_core)
+        assert cached.cache_info().misses == misses + 1
+
+
 class TestExpFamilyBoundary:
     def test_normal_mean_direct_value(self):
         model = ExpFamilyModel(kind="normal-mean-known-variance", theta0=0.0, n=1,
