@@ -334,7 +334,9 @@ class TestSolveReuse:
                 solve_umpbt_chisq(spec)
         assert solver._minimal_boundary.cache_info().currsize == 0
 
-    def test_oldest_keys_are_evicted(self):
+    def test_oldest_keys_are_evicted(self, monkeypatch):
+        # eviction needs no real search: a stub scan keeps 130 keys cheap
+        monkeypatch.setattr(solver, "_scan_minimum", lambda *args: (1.0, 2.0))
         cached = solver._minimal_boundary
         bound = cached.cache_info().maxsize
         gammas = [2.0 + 0.05 * k for k in range(bound + 2)]
