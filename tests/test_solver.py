@@ -278,76 +278,82 @@ class TestMatchedThresholdReuse:
         assert cached.cache_info().misses == misses + 1
 
 
-class TestSolveReuse:
-    """The theta* search of a solve runs once per (gamma, df) and
-    Bayes-factor evaluator."""
+def _scan_only(monkeypatch):
+    """Solve as if the z-root gave no estimate, so the scan always runs."""
+    monkeypatch.setattr(solver, "_theta_star_z_root", lambda gamma, df: None)
 
+
+def _counting_grid(monkeypatch):
+    calls = []
+    grid = solver.rejection_boundary_grid
+
+    def counting_grid(*args):
+        calls.append(1)
+        return grid(*args)
+
+    monkeypatch.setattr(solver, "rejection_boundary_grid", counting_grid)
+    return calls
+
+
+class TestZRootPlacement:
+    """The z-root of the first-order condition places the golden section,
+    which then returns the bits the 200-point scan would have led to."""
+
+    # the four power_mc strata, a large df, and a threshold next to 1: at
+    # df 0.01 theta* sits at the scan's lower edge, and at df 1e6 the root
+    # loses its precision, so the scan runs
     @pytest.mark.parametrize("df, gamma", [(0.5, 1.5), (2.929, 5.814), (17.16, 22.53),
-                                           (100.6, 87.33), (1e5, 3.46)])
-    def test_repeat_returns_fresh_bits(self, df, gamma):
+                                           (100.6, 87.33), (1e5, 3.46),
+                                           (0.01, 1.000000001), (1e6, 1.000000001)])
+    def test_same_bits_as_the_scan(self, df, gamma, monkeypatch):
         spec = ChiSqTestSpec(df=df, gamma=gamma)
-        first, repeat = solve_umpbt_chisq(spec), solve_umpbt_chisq(spec)
-        solver._minimal_boundary.cache_clear()
-        fresh = solve_umpbt_chisq(spec)
-        assert repeat == fresh and first == fresh
-        assert solver._minimal_boundary.cache_info().currsize == 1
+        placed = solve_umpbt_chisq(spec)
+        _scan_only(monkeypatch)
+        assert solve_umpbt_chisq(spec) == placed
 
-    def test_repeat_makes_no_bayes_factor_call(self, monkeypatch):
-        calls = []
-        core = solver._log_bf_core
-
-        def counting_core(*args):
-            calls.append(1)
-            return core(*args)
-
-        monkeypatch.setattr(solver, "_log_bf_core", counting_core)
-        spec = ChiSqTestSpec(df=6.0, gamma=3.46)
-        solve_umpbt_chisq(spec)
-        assert calls
-        calls.clear()
-        solve_umpbt_chisq(spec)
+    @pytest.mark.parametrize("df, gamma", [(0.5, 1.5), (6.0, 3.46), (100.6, 87.33)])
+    def test_placed_solve_skips_the_scan(self, df, gamma, monkeypatch):
+        calls = _counting_grid(monkeypatch)
+        solve_umpbt_chisq(ChiSqTestSpec(df=df, gamma=gamma))
         assert calls == []
 
-    def test_rebound_evaluator_solves_afresh(self, monkeypatch):
+    @pytest.mark.parametrize("factor", [1e-9, 1 / 3, 3.0, 1e9])
+    def test_misplaced_root_falls_back_to_the_scan(self, factor, monkeypatch):
         spec = ChiSqTestSpec(df=6.0, gamma=3.46)
-        before = solve_umpbt_chisq(spec)
-        calls = []
-        core = solver._log_bf_core
+        placed = solve_umpbt_chisq(spec)
+        root = solver._theta_star_z_root
+        monkeypatch.setattr(solver, "_theta_star_z_root",
+                            lambda gamma, df: factor * root(gamma, df))
+        calls = _counting_grid(monkeypatch)
+        assert solve_umpbt_chisq(spec) == placed and calls
 
-        def counting_core(*args):
-            calls.append(1)
-            return core(*args)
+    @pytest.mark.parametrize("df, gamma", [(0.5, 1.5), (1.0, 3.0), (6.0, 3.46),
+                                           (17.16, 22.53), (100.6, 87.33)])
+    def test_root_meets_the_first_order_condition(self, df, gamma):
+        from scipy.special import ive
 
-        monkeypatch.setattr(solver, "_log_bf_core", counting_core)
-        assert solve_umpbt_chisq(spec) == before and calls
-        assert solver._minimal_boundary.cache_info().currsize == 2
+        theta = solver._theta_star_z_root(gamma, df)
+        y = rejection_boundary(theta, gamma, df)
+        z = math.sqrt(theta * y)
+        assert y * ive(df / 2.0, z) / ive(df / 2.0 - 1.0, z) == pytest.approx(z, rel=1e-11)
+        # the golden section stops within its bracket of 1e-8 (1 + theta)
+        golden = solve_umpbt_chisq(ChiSqTestSpec(df=df, gamma=gamma)).theta_star
+        assert theta == pytest.approx(golden, rel=1e-6)
 
-    def test_failures_are_not_stored(self, monkeypatch):
+    def test_df1_root_against_closed_form(self):
+        assert solver._theta_star_z_root(3.0, 1.0) == pytest.approx(
+            oracles.nu1_theta_star(3.0), rel=1e-7)
+
+    def test_unconverged_scan_still_names_the_pair(self, monkeypatch):
         # the non-converging evaluator of test_grid_reports_unconverged_root,
-        # here NaN at every alternative the scan tries above theta = 1
+        # here NaN at every alternative above theta = 1: the z-root finds no
+        # bracket, and the scan reports the failure
         core = solver._log_bf_core
         monkeypatch.setattr(solver, "_log_bf_core", lambda y, theta, df: np.where(
             theta > 1.0, math.nan, core(y, theta, df)))
-        spec = ChiSqTestSpec(df=6.0, gamma=3.0)
-        for _ in range(2):
-            with pytest.raises(NoRootError, match=r"gamma=3\.0, df=6\.0"):
-                solve_umpbt_chisq(spec)
-        assert solver._minimal_boundary.cache_info().currsize == 0
-
-    def test_oldest_keys_are_evicted(self, monkeypatch):
-        # eviction needs no real search: a stub scan keeps 130 keys cheap
-        monkeypatch.setattr(solver, "_scan_minimum", lambda *args: (1.0, 2.0))
-        cached = solver._minimal_boundary
-        bound = cached.cache_info().maxsize
-        gammas = [2.0 + 0.05 * k for k in range(bound + 2)]
-        for gamma in gammas:
-            cached(gamma, 6.0, solver._log_bf_core)
-        assert cached.cache_info().currsize == bound
-        misses = cached.cache_info().misses
-        cached(gammas[-1], 6.0, solver._log_bf_core)
-        assert cached.cache_info().misses == misses
-        cached(gammas[0], 6.0, solver._log_bf_core)
-        assert cached.cache_info().misses == misses + 1
+        assert solver._theta_star_z_root(3.0, 6.0) is None
+        with pytest.raises(NoRootError, match=r"gamma=3\.0, df=6\.0"):
+            solve_umpbt_chisq(ChiSqTestSpec(df=6.0, gamma=3.0))
 
 
 class TestExpFamilyBoundary:
