@@ -317,13 +317,18 @@ class TestZRootPlacement:
         solve_umpbt_chisq(ChiSqTestSpec(df=df, gamma=gamma))
         assert calls == []
 
-    @pytest.mark.parametrize("factor", [1e-9, 1 / 3, 3.0, 1e9])
-    def test_misplaced_root_falls_back_to_the_scan(self, factor, monkeypatch):
+    @pytest.mark.parametrize("where", ["1e-9 root", "root / 3", "3 root", "1e9 root",
+                                       "first scan point", "next to last scan point"])
+    def test_misplaced_root_falls_back_to_the_scan(self, where, monkeypatch):
         spec = ChiSqTestSpec(df=6.0, gamma=3.46)
         placed = solve_umpbt_chisq(spec)
-        root = solver._theta_star_z_root
-        monkeypatch.setattr(solver, "_theta_star_z_root",
-                            lambda gamma, df: factor * root(gamma, df))
+        root = solver._theta_star_z_root(3.46, 6.0)
+        thetas = np.geomspace(solver._SCAN_THETA_LO, 10.0 * (6.0 + 2.0 * math.log(3.46)),
+                              solver._SCAN_POINTS)
+        near = {"1e-9 root": 1e-9 * root, "root / 3": root / 3, "3 root": 3.0 * root,
+                "1e9 root": 1e9 * root, "first scan point": thetas[0],
+                "next to last scan point": thetas[-2]}[where]
+        monkeypatch.setattr(solver, "_theta_star_z_root", lambda gamma, df: near)
         calls = _counting_grid(monkeypatch)
         assert solve_umpbt_chisq(spec) == placed and calls
 
