@@ -27,7 +27,6 @@ from .contingency import (
     pearson_statistic,
 )
 from .errors import (
-    BracketingError,
     DegenerateMarginError,
     DomainError,
     NoRootError,

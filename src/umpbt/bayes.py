@@ -120,8 +120,13 @@ def dlogbf_dy(y: float, theta: float, df: float) -> float:
     """
     _check_ncchisq_args(y, theta, df)
     z = np.array([math.sqrt(theta * y)])
-    log_ratio = log_bessel_i_array(df / 2.0, z) - log_bessel_i_array(df / 2.0 - 1.0, z)
-    return 0.5 * math.sqrt(theta / y) * float(np.exp(log_ratio[0]))
+    return 0.5 * math.sqrt(theta / y) * float(_bessel_ratio(z, df)[0])
+
+
+def _bessel_ratio(z: np.ndarray, df: float) -> np.ndarray:
+    """R(z) = I_{df/2}(z) / I_{df/2-1}(z) as a difference of logs (a plain
+    ratio of the two is NaN where both under- or overflow, as at df 1e5)."""
+    return np.exp(log_bessel_i_array(df / 2.0, z) - log_bessel_i_array(df / 2.0 - 1.0, z))
 
 
 @dataclass(frozen=True)

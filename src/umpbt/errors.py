@@ -52,9 +52,5 @@ class NoRootError(SolverError):
     """
 
 
-class BracketingError(SolverError):
-    """A scan failed to bracket an interior minimum (or the target value)."""
-
-
 class SeriesError(SolverError):
     """An internal series or mixture exceeded its certified term budget."""

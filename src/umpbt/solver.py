@@ -4,20 +4,19 @@ For the noncentral chi-squared test the Bayes factor g(y, theta) is strictly
 increasing in the statistic y, so each alternative theta induces an upper
 rejection interval (r(theta), inf) where r(theta) is the unique root of
 g = gamma.  The alternative whose interval covers all the others is the one
-minimizing r, and this module locates it by a log-spaced scan followed by
-one golden section on the minimal scan cell.  The scan solves r at all of
-its alternatives as one elementwise root in log y; the golden section
-reads one scalar root at a time.  That finds the minimum: at
-fixed y, d/dtheta log g = -1/2 + z R(z) / (2 theta), with z = sqrt(theta y)
-and R = I_{df/2} / I_{df/2-1}, vanishes only where y R(z) = z, so log g is
-unimodal in theta and r(theta) is quasi-convex.  On that first-order
-condition theta = z R(z) and y = z / R(z), so theta* is one root in z; but
-the benchmark gate's reference stores the golden-section theta* at 1e-8,
-and the exact root moves some of them further.  So the root only places
-the golden section: where four boundaries around it settle the scan's
-minimal cell, the scan is skipped and the same bits come out.
-Exponential families solve their first-order condition,
-n KL(f_theta* || f_theta0) = log gamma, as one monotone root.
+minimizing r.  At fixed y, d/dtheta log g = -1/2 + z R(z) / (2 theta), with
+z = sqrt(theta y) and R = I_{df/2} / I_{df/2-1}, vanishes only where
+y R(z) = z, so log g is unimodal in theta and r(theta) is quasi-convex.  On
+that first-order condition theta = z R(z) and y = z / R(z), so the solve
+for a threshold and the match to a size are each one increasing root in z,
+found by one bracketed Newton iteration with closed-form slopes.  The
+benchmark gate's reference holds the theta* of a golden section on a
+200-point log grid, so where four grid values around the root settle the
+grid's minimal cell, that golden section runs and the same bits come out;
+in the flat bands where they cannot (gamma next to 1, alpha next to
+P(chi2_df > df)), the root itself is returned.  Exponential families solve
+their first-order condition, n KL(f_theta* || f_theta0) = log gamma, as one
+monotone root.
 
 Matching a classical test of size alpha exploits the same monotonicity the
 other way around: with y_alpha the classical critical value,
@@ -25,11 +24,9 @@ other way around: with y_alpha the classical critical value,
     min_theta r(theta; gamma) = y_alpha   <=>   gamma = max_theta g(y_alpha, theta),
 
 because r(theta) >= y_alpha for every theta exactly when g(y_alpha, theta)
-never exceeds gamma.  The matched threshold is therefore found by a single
-one-dimensional maximization instead of an outer root search in gamma.
-That maximization depends on (y_alpha, df) alone, so each process solves
-it once per pair (and per Bayes-factor evaluator) and keeps the 128 most
-recent; every other solve here runs afresh on each call.
+never exceeds gamma.  So the matched threshold is one maximization over
+theta, solved once per (y_alpha, df) and process, instead of an outer root
+search in gamma.
 """
 
 from __future__ import annotations
@@ -40,13 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import ChiSqTestSpec, ExpFamilyModel, _log_bf_core
-from .errors import BracketingError, DomainError, NoRootError
-from .special import chisq_cdf, chisq_quantile, log_bessel_i_array
+from .bayes import ChiSqTestSpec, ExpFamilyModel, _bessel_ratio, _log_bf_core
+from .errors import DomainError, NoRootError
+from .special import chisq_cdf, chisq_quantile
 
-# brentq and find_root are imported where a root is found: loading
-# scipy.optimize takes ~0.25 s, which commands that find no root would pay
-# at every start-up.
+# brentq and find_root are imported where a boundary root is found: loading
+# scipy.optimize takes ~0.25 s, which a match, finding none, would pay.
 
 __all__ = [
     "UmpbtSolution",
@@ -64,10 +60,10 @@ __all__ = [
 DEFAULT_CURVE_ALPHAS = (0.05, 0.01, 0.005, 0.001)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_SCAN_POINTS = 200
-_SCAN_THETA_LO = 1e-4
+_GRID_POINTS = 200
+_GRID_THETA_LO = 1e-4
 _REFINE_TOL = 1e-8
-_TIE_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -216,103 +212,108 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
                         maxiter=200))
 
 
-def _scan_minimum(values_at, value_at, theta_hi: float, what: str, near=None):
-    """Minimum (theta, value) of a unimodal objective of theta > 0.
+def _z_root(f, z: float, what: str) -> float:
+    """Root of f(z) = (value, slope), increasing from f(0+) < 0, for z > 0.
 
-    A 200-point log-spaced scan ``values_at`` finds a minimal cell, the
-    first index within 1e-12 so ties resolve to the smallest theta; the
-    upper edge doubles while the minimum sits on it or the values still
-    fall there, and the lower edge shrinks tenfold while the minimum sits
-    on it.  The scalar ``value_at`` is then golden-refined over the two
-    cells around it to bracket width 1e-8 (1 + theta).  A scan that
-    :func:`_cell_near` settles from ``near``, a close guess of the
-    minimizer, is skipped.
+    Newton steps from ``z`` keep a bracket (lo, hi), first (0, inf); a step
+    that leaves it, or above 1e-8 z fails to halve the last, gives way to
+    bisection (to 4 lo while hi is inf).  A step within 4 ulps ends it, as
+    does one within 1e-8 z that fails to halve the last, where only the
+    rounding of f can stall Newton.  A non-finite value raises NoRootError.
     """
-    theta_lo = _SCAN_THETA_LO
-    for _ in range(60):
-        thetas = np.geomspace(theta_lo, theta_hi, _SCAN_POINTS)
-        i0 = None if near is None else _cell_near(near, thetas, value_at)
-        if i0 is None:
-            values = values_at(thetas)
-            i0 = int(np.flatnonzero(values <= float(values.min()) + _TIE_TOL)[0])
-            if i0 == len(thetas) - 1 or values[-1] <= values[-2]:
-                theta_hi *= 2.0
-                continue
-            if i0 == 0:
-                theta_lo /= 10.0
-                continue
-        return _golden_min(value_at, float(thetas[i0 - 1]), float(thetas[i0 + 1]),
-                           _REFINE_TOL * (1.0 + thetas[i0]))
-    raise BracketingError(f"could not bracket {what}")
+    lo, hi, step = 0.0, math.inf, math.inf
+    for _ in range(400):
+        value, slope = f(z)
+        if not math.isfinite(value):
+            raise NoRootError(f"no root in z for {what}: non-finite value at z={z!r}")
+        lo, hi = (z, hi) if value < 0.0 else (lo, z)
+        before, step = step, value / slope
+        small, halves = abs(step) <= 1e-8 * z, abs(2.0 * step) <= abs(before)
+        if abs(step) <= 4.0 * _EPS * z or (small and not halves):
+            return z - step
+        if not (lo < z - step <= hi and (halves or small)):
+            step = z - (0.5 * (lo + hi) if hi < math.inf else 4.0 * lo)
+        z -= step
+        if abs(step) <= 4.0 * _EPS * z:
+            return z
+    raise NoRootError(f"no root in z for {what}")  # pragma: no cover - see above
 
 
-def _cell_near(near: float, thetas: np.ndarray, value_at) -> int | None:
-    """The scan's minimal index, from four values around ``near``, or None.
-
-    With thetas[k] <= near < thetas[k+1], the values at k-1 and k+2 must
-    exceed the smaller of those at k and k+1, and those two must differ,
-    each by 1e-9 (1 + value): far above the scan's tie tolerance and root
-    error, so the unimodal scan would find the same interior index.
-    """
-    k = int(np.searchsorted(thetas, near, side="right")) - 1
-    if not 1 <= k <= len(thetas) - 4:
-        return None
-    a, b, c, d = (value_at(float(t)) for t in thetas[k - 1:k + 3])
-    low, margin = min(b, c), 1e-9 * (1.0 + abs(min(b, c)))
-    if min(a, d) - low > margin and abs(b - c) > margin:
-        return k if b < c else k + 1
-    return None
+def _ratio_slope(z: float, df: float) -> tuple[float, float]:
+    """R(z) and R'(z) = 1 - (df - 1) R / z - R^2."""
+    r = float(_bessel_ratio(np.array([z]), df)[0])
+    return r, 1.0 - (df - 1.0) * r / z - r * r
 
 
-def _theta_star_z_root(gamma: float, df: float) -> float | None:
-    """theta* from one root in z, or None when it has no bracket.
+def _theta_star_z_root(gamma: float, df: float) -> float:
+    """theta* = z R(z) at the root of L(z) = log g(z / R, z R) = log gamma.
 
-    On the first-order condition y R(z) = z, theta = z R(z) and y = z / R(z),
-    and log g(y, theta) increases with z from 0 as z -> 0.
+    L rises from 0 as z -> 0, with slope (R - z R') / 2.
     """
     log_gamma = math.log(gamma)
 
-    def theta_y(z: float) -> tuple[np.ndarray, np.ndarray]:
-        z_arr = np.array([z])
-        ratio = np.exp(log_bessel_i_array(df / 2.0, z_arr)
-                       - log_bessel_i_array(df / 2.0 - 1.0, z_arr))
-        return z_arr * ratio, z_arr / ratio
+    def excess(z: float) -> tuple[float, float]:
+        r, slope = _ratio_slope(z, df)
+        log_g = float(_log_bf_core(np.array([z / r]), np.array([z * r]), df)[0])
+        return log_g - log_gamma, 0.5 * (r - z * slope)
 
-    def excess(z: float) -> float:
-        theta, y = theta_y(z)
-        return float(_log_bf_core(y, theta, df)[0]) - log_gamma
+    z = _z_root(excess, df + 2.0 * log_gamma + 1.0, f"gamma={gamma}, df={df}")
+    return z * _ratio_slope(z, df)[0]
 
-    hi = df + 2.0 * log_gamma + 1.0
-    while (top := excess(hi)) < 0.0:  # log g grows like z / 2
-        hi *= 4.0
-    if not excess(1e-8) < 0.0 <= top:
-        return None
-    from scipy.optimize import brentq
-    theta = float(theta_y(brentq(excess, 1e-8, hi, xtol=1e-300,
-                                 rtol=4 * np.finfo(float).eps))[0][0])
-    return theta if math.isfinite(theta) else None
+
+def _matched_z_root(y_alpha: float, df: float) -> float:
+    """theta* = z^2 / y_alpha at the root of log z - log R(z) = log y_alpha.
+
+    z / R(z) rises from df as z -> 0; the log has slope 1 / z - R' / R.  The
+    start solves the equation with Amos' R ~ z / (df/2 + sqrt(z^2 + df^2/4)).
+    """
+    log_y = math.log(y_alpha)
+
+    def excess(z: float) -> tuple[float, float]:
+        r, slope = _ratio_slope(z, df)
+        return math.log(z / r) - log_y, 1.0 / z - slope / r
+
+    z = _z_root(excess, math.sqrt(y_alpha * (y_alpha - df)), f"y_alpha={y_alpha}, df={df}")
+    return z * z / y_alpha
+
+
+def _minimum_at_root(value_at, theta: float, theta_hi: float, what: str):
+    """(theta*, value) of a unimodal objective from ``theta``, the root of
+    its first-order condition.
+
+    On grid = geomspace(1e-4, theta_hi, 200), with grid[k] <= theta <
+    grid[k+1], the values at k-1 and k+2 must exceed the smaller of those at
+    k and k+1, and those two must differ, each by 1e-9 (1 + value).  Then a
+    scan of the grid finds the cell around the smaller, and the golden
+    section refines it to width 1e-8 (1 + theta), the bits the benchmark
+    gate's reference holds.  Otherwise the root is returned."""
+    grid = np.geomspace(_GRID_THETA_LO, theta_hi, _GRID_POINTS)
+    k = int(np.searchsorted(grid, theta, side="right")) - 1
+    if 1 <= k <= _GRID_POINTS - 4:
+        a, b, c, d = (value_at(float(t)) for t in grid[k - 1:k + 3])
+        low, margin = min(b, c), 1e-9 * (1.0 + abs(min(b, c)))
+        if min(a, d) - low > margin and abs(b - c) > margin:
+            k += int(c < b)
+            return _golden_min(value_at, float(grid[k - 1]), float(grid[k + 1]),
+                               _REFINE_TOL * (1.0 + grid[k]))
+    value = value_at(theta)
+    if not math.isfinite(value):
+        raise NoRootError(f"non-finite value at theta*={theta!r} for {what}")
+    return theta, value
 
 
 def solve_umpbt_chisq(spec: ChiSqTestSpec) -> UmpbtSolution:
     """Most-powerful alternative for an explicit evidence threshold.
 
-    Minimizes the rejection boundary r(theta) over theta > 0 with a
-    200-point log-spaced scan (the upper scan edge starts at
-    10 (df + 2 log gamma) and doubles while r still decreases there)
-    and golden-section refinement to bracket width 1e-8 (1 + theta).
-    The z-root of the first-order condition usually settles the scan's
-    minimal cell from four boundaries, and the scan is then skipped.
+    theta* minimizes the rejection boundary r(theta): the root in z of its
+    first-order condition, placed on the grid up to 10 (df + 2 log gamma).
     """
     if spec.gamma is None:
         raise DomainError("solve_umpbt_chisq requires a spec with gamma set")
     gamma, df = float(spec.gamma), float(spec.df)
-    theta_star, boundary = _scan_minimum(
-        lambda t: rejection_boundary_grid(t, gamma, df),
-        lambda t: rejection_boundary(t, gamma, df),
-        10.0 * (df + 2.0 * math.log(gamma)),
-        f"an interior minimum of r(theta) for gamma={gamma}, df={df}",
-        _theta_star_z_root(gamma, df),
-    )
+    theta_star, boundary = _minimum_at_root(
+        lambda t: rejection_boundary(t, gamma, df), _theta_star_z_root(gamma, df),
+        10.0 * (df + 2.0 * math.log(gamma)), f"gamma={gamma}, df={df}")
     return UmpbtSolution(theta_star=theta_star, boundary=boundary, gamma=gamma,
                          direction=1, df=df)
 
@@ -321,30 +322,21 @@ def solve_umpbt_chisq(spec: ChiSqTestSpec) -> UmpbtSolution:
 def _matched_maximum(y_alpha: float, df: float, log_bf_core) -> tuple[float, float]:
     """(theta*, -log gamma) of max_theta g(y_alpha, theta), once per process.
 
-    The maximum depends on nothing but (y_alpha, df), so every table of
-    the same shape tested at the same alpha reuses one scan and golden
-    section.  The key is y_alpha, not alpha, so every match still computes
-    its quantile, whose calls the benchmark's traced run requires on each
-    ``contingency`` round.  The evaluator ``log_bf_core`` is part of the
-    key: an entry holds what that function computed, so rebinding
+    theta* is the root in z of the first-order condition at y_alpha, placed
+    on the grid up to 4 y_alpha + df + 10.  The key is y_alpha, not alpha,
+    so every match still computes its quantile, as the benchmark's traced
+    run requires, and holds the evaluator, so rebinding
     ``solver._log_bf_core`` (a test double, a tracing wrapper) solves
-    afresh instead of reading another function's maxima.  The 128 most
-    recent keys are kept: enough for the few pairs that table tests
-    repeat (28 in the benchmark's ``contingency`` round), and deliberately
-    not for a df sweep, whose distinct pairs (480 in a ``curve`` round)
-    miss every time.  A failed scan is not stored.
-    """
+    afresh.  128 keys hold the pairs that table tests repeat (28 in a
+    ``contingency`` round), not a df sweep's (480 in a ``curve`` round).  A
+    failure is not stored."""
     y_arr = np.array([y_alpha])
 
     def neg_log_bf(theta: float) -> float:
         return -float(log_bf_core(y_arr, np.array([theta]), df)[0])
 
-    return _scan_minimum(
-        lambda t: -log_bf_core(np.full_like(t, y_alpha), t, df),
-        neg_log_bf,
-        4.0 * y_alpha + df + 10.0,
-        f"the matched threshold at y_alpha={y_alpha}, df={df}",
-    )
+    return _minimum_at_root(neg_log_bf, _matched_z_root(y_alpha, df),
+                            4.0 * y_alpha + df + 10.0, f"y_alpha={y_alpha}, df={df}")
 
 
 def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
@@ -354,30 +346,32 @@ def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
     law, the matched threshold is gamma = max_theta g(y_alpha, theta) and
     the maximizer is the matched alternative: r(theta) >= y_alpha for all
     theta precisely when g(y_alpha, theta) <= gamma, with equality at the
-    maximizer, so the minimal boundary equals y_alpha exactly.
-
-    y_alpha is computed on every call; the maximization over theta is
-    reused from an earlier call with the same (y_alpha, df) and the same
-    ``_log_bf_core``, among the 128 most recent such keys in this process.
+    maximizer, so the minimal boundary equals y_alpha exactly.  The
+    maximizer solves y_alpha R(z) = z, one root in z, reused from the 128
+    most recent (y_alpha, df, ``_log_bf_core``) keys of this process.  A
+    failed root raises :class:`NoRootError` naming (alpha, df).
     """
     if spec.alpha is None:
         raise DomainError("match_gamma_to_alpha requires a spec with alpha set")
     alpha, df = float(spec.alpha), float(spec.df)
+    if 1.0 - alpha == 1.0:
+        raise DomainError(f"significance level alpha={alpha} must exceed 2**-54 = "
+                          f"{2.0**-54:.4g}, below which 1 - alpha rounds to 1")
     y_alpha = chisq_quantile(1.0 - alpha, df)
-    if not y_alpha > df:
-        # d/dtheta log g(y, theta) = -1/2 + y R(z) / (2 theta) < (y/df - 1)/2
-        # with log g -> 0 as theta -> 0, so max_theta g exceeds 1 iff y > df
+    # d/dtheta log g(y, theta) = -1/2 + y R(z) / (2 theta) < (y/df - 1)/2
+    # with log g -> 0 as theta -> 0, so max_theta g exceeds 1 iff y > df;
+    # next to y = df, log gamma = (y - df)^2 (df + 2) / (4 y^2) (1 + O(y/df - 1))
+    if not (y_alpha > df and 1.0 + (y_alpha - df) ** 2 * (df + 2.0) / (4.0 * y_alpha**2) > 1.0):
         raise DomainError(
             f"no threshold above 1 matches alpha={alpha} at df={df}: the "
-            f"critical value {y_alpha:.6g} does not exceed df; alpha must stay "
-            f"below P(chi2_df > df) = {1.0 - chisq_cdf(df, df):.4g}"
+            f"critical value {y_alpha:.15g} must exceed df, by enough that gamma "
+            f"does not round to 1; alpha must stay below P(chi2_df > df) = "
+            f"{1.0 - chisq_cdf(df, df):.4g}"
         )
     try:
         theta_star, neg_best = _matched_maximum(y_alpha, df, _log_bf_core)
-    except BracketingError:
-        raise BracketingError(
-            f"could not bracket the matched threshold for alpha={alpha}, df={df}"
-        ) from None
+    except NoRootError as exc:
+        raise NoRootError(f"alpha={alpha}, df={df}: {exc}") from None
     return UmpbtSolution(theta_star=theta_star, boundary=y_alpha, gamma=math.exp(-neg_best),
                          direction=1, df=df)
 

@@ -43,6 +43,7 @@ _SERIES_TERM_CAP = 1000
 # Rows per block of the series workspace (about 2 MB at 250 terms).
 _SERIES_BLOCK = 1024
 _MIXTURE_TAIL = 1e-17
+_MAX_NONCENTRALITY = 1e8
 # stirlerr(k) = log k! - (k + 1/2) log k + k - log(2 pi) / 2 for k = 1..35,
 # where lgamma still resolves it (index 0 is unused)
 _STIRLERR_HEAD = np.array([0.0] + [
@@ -74,7 +75,8 @@ class NoncentralChiSq:
     """Noncentral chi-squared law with real degrees of freedom.
 
     ``noncentrality = 0`` reduces exactly to the central chi-squared
-    distribution.
+    distribution.  Above 1e8 (a 1.2e5-term survival-function window, ~0.5 s)
+    it is a domain error; default power grids stay below 3e7 for df <= 1e10.
     """
 
     df: float
@@ -83,10 +85,9 @@ class NoncentralChiSq:
     def __post_init__(self) -> None:
         if not (self.df > 0) or not math.isfinite(self.df):
             raise DomainError(f"degrees of freedom must be positive, got {self.df}")
-        if self.noncentrality < 0 or not math.isfinite(self.noncentrality):
-            raise DomainError(
-                f"noncentrality must be nonnegative, got {self.noncentrality}"
-            )
+        if not 0.0 <= self.noncentrality <= _MAX_NONCENTRALITY:
+            raise DomainError(f"noncentrality must lie in [0, {_MAX_NONCENTRALITY:g}], "
+                              f"got {self.noncentrality:g}")
 
 
 def _series_terms_needed(order: float, z_max: float) -> int:
@@ -132,9 +133,10 @@ def _log_bessel_series(order: float, z: np.ndarray) -> np.ndarray:
     one-ulp change in log I moves theta* past it.
 
     An array runs in place over one workspace of ``_SERIES_BLOCK`` rows, so
-    a 16,384-draw Monte Carlo chunk never holds its full term matrix.  The
-    term count is sized from ``z.max()`` of the whole array, so blocking
-    does not change any value.
+    a large array, which any caller of the public ``log_bessel_i_array``
+    may pass, never holds its full term matrix.  The term count is sized
+    from ``z.max()`` of the whole array, so blocking does not change any
+    value.
 
     A single value, which each golden-section and root-finding step of the
     solver asks for, takes a lane of its own: one 1-D row of terms reduced
@@ -306,9 +308,9 @@ def _chisq_log_pdf(y: float, df: float) -> float:
 def chisq_quantile(p: float, df: float) -> float:
     """Inverse of :func:`chisq_cdf`: the y with P(Y <= y) = p.
 
-    Bisection narrows the root to a 1e-8 bracket, then Newton steps polish
-    it until the CDF residual drops below 1e-12 (falling back to bisection
-    whenever a Newton step would leave the bracket).
+    Bisection narrows the root to a 1e-8 bracket (one ulp above 2**26),
+    then Newton steps polish it until the CDF residual drops below 1e-12
+    (falling back to bisection whenever a Newton step would leave the bracket).
     """
     if not (df > 0):
         raise DomainError(f"degrees of freedom must be positive, got {df}")
@@ -326,6 +328,8 @@ def chisq_quantile(p: float, df: float) -> float:
 
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # one ulp apart, above y = 2**26
+            break
         if chisq_cdf(mid, df) < p:
             lo = mid
         else:

@@ -239,3 +239,21 @@ def noncentral_chisq_sf_mp(y: float, df: float, theta: float) -> float:
         while (t := term(j)) > peak * mp.mpf("1e-40"):
             total, j = total + t, j + 1
         return float(total)
+
+
+def matched_theta_star_mp(y: float, df: float, z0: float) -> float:
+    """theta* = z^2 / y at the root of z / R(z) = y in 40-digit mpmath.
+
+    R = I_{df/2} / I_{df/2-1} comes from ``mpmath.besseli``.  The secant
+    method starts from the float root ``z0``: started cold next to y = df,
+    it does not converge.
+    """
+    with mp.workdps(40):
+        y_, nu = mp.mpf(y), mp.mpf(df) / 2 - 1
+
+        def excess(z):
+            return z * mp.besseli(nu, z) / mp.besseli(nu + 1, z) - y_
+
+        z0_ = mp.mpf(z0)
+        z = mp.findroot(excess, (z0_, z0_ * (1 + mp.mpf("1e-10"))))
+        return float(z**2 / y_)

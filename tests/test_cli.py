@@ -1,5 +1,6 @@
 """Command-line surface: grammar, exit codes, determinism, output formats."""
 
+import hashlib
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from umpbt import BracketingError, ChiSqTestSpec, cli, solve_umpbt_chisq
+from umpbt import ChiSqTestSpec, NoRootError, cli, solve_umpbt_chisq
 from umpbt.cli import render_plain, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,7 +65,7 @@ class TestChisqCommand:
 
     def test_solver_failure_exits_two(self, monkeypatch):
         def fail(spec):
-            raise BracketingError("could not bracket the matched threshold")
+            raise NoRootError("no root in z for alpha=0.05, df=6.0")
 
         monkeypatch.setattr(cli, "match_gamma_to_alpha", fail)
         code, _, err = invoke(["chisq", "--df", "6", "--alpha", "0.05"])
@@ -78,10 +79,29 @@ class TestChisqCommand:
 
     def test_near_bound_alpha_exits_one(self):
         """alpha just inside P(chi2_df > df): the matched threshold rounds to
-        gamma = 1, which no test accepts, so the input is out of domain."""
+        gamma = 1, which no test accepts, so the input is out of domain.
+        log gamma is 4.6e-17 here, under log g's own rounding of ~1e-12."""
         code, out, err = invoke(["chisq", "--df", "1000", "--alpha", "0.49405285"])
         assert code == 1 and out == ""
+        assert err.startswith("error: domain:") and "does not round to 1" in err
+
+    def test_near_bound_alpha_solves(self):
+        """6e-6 below P(chi2_6 > 6): log gamma is 3e-14, above its rounding."""
+        code, out, err = invoke(["chisq", "--df", "6", "--alpha", "0.42319"])
+        assert code == 0 and err == ""
+        assert parse_plain(out)[0]["gamma"] == "1"
+
+    def test_alpha_below_the_floor_exits_one(self):
+        code, out, err = invoke(["chisq", "--df", "6", "--alpha", "1e-300"])
+        assert code == 1 and out == ""
         assert err.startswith("error: domain:")
+        assert "alpha=1e-300" in err and "2**-54" in err
+
+    def test_huge_df_alpha_mode(self):
+        """Above y = 2**26 an ulp exceeds the quantile's 1e-8 bisection width."""
+        code, out, err = invoke(["chisq", "--df", "1e8", "--alpha", "0.05", "--json"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["gamma"] == pytest.approx(3.8678, rel=1e-4)
 
     def test_large_df_alpha_mode(self):
         """df = 1e5 puts the Bessel order near 5e4, beyond the series' term
@@ -285,25 +305,32 @@ class TestPowerCommand:
         assert err.startswith("error: domain:")
         assert repr(spec) in err
 
+    def test_noncentrality_beyond_the_bound_exits_one(self):
+        code, out, err = invoke(["power", "--df", "6", "--gamma", "3.46", "--theta-grid",
+                                 "7:7:1", "--theta-t-grid", "1e300:1e300:1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: domain:") and "1e+300" in err
+
     def test_negative_seed_exits_one(self):
         code, out, err = invoke(["power", "--df", "6", "--gamma", "3.46",
                                  "--mc", "10", "--seed", "-1"])
         assert code == 1 and out == ""
         assert err.startswith("error: domain:")
 
-    def test_output_matches_the_scan_byte_for_byte(self, monkeypatch):
-        from umpbt import dominance_check, solver
+    def test_output_matches_the_scan_byte_for_byte(self):
+        from umpbt import dominance_check
 
         argv = ["power", "--df", "6", "--gamma", "3.46", "--mc", "4096", "--seed", "1"]
-        placed = invoke(argv)
-        record, _ = parse_plain(placed[1])
-        assert placed[0] == 0 and record["dominance"] == "pass"
+        code, out, _ = invoke(argv)
+        record, _ = parse_plain(out)
+        assert code == 0 and record["dominance"] == "pass"
+        # the output recorded while the 200-point scan still ran
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3482afe80a5745c91a336034d5fc44a4391197052d8705a92343d116ecb6714d")
         # the default grid misses theta*, so its margin is negative; a grid
         # holding theta* itself must give exactly zero
         theta_star = solve_umpbt_chisq(ChiSqTestSpec(df=6.0, gamma=3.46)).theta_star
         assert dominance_check(3.46, 6.0, [1.0, theta_star, 30.0]).max_margin == 0.0
-        monkeypatch.setattr(solver, "_theta_star_z_root", lambda gamma, df: None)
-        assert invoke(argv) == placed
 
 
 class TestCurveCommand:

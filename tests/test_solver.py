@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from umpbt import (
-    BracketingError,
     ChiSqTestSpec,
     CurvePoint,
     DomainError,
@@ -203,6 +202,13 @@ class TestMatchGammaToAlpha:
         with pytest.raises(DomainError, match=r"P\(chi2_df > df\) = 0\.4232"):
             match_gamma_to_alpha(ChiSqTestSpec(df=6.0, alpha=0.9))
 
+    def test_alpha_below_the_floor(self):
+        # 1 - alpha rounds to 1 at and below 2**-54
+        for alpha in (1e-300, 2.0**-54):
+            with pytest.raises(DomainError, match=r"alpha=.* must exceed 2\*\*-54"):
+                match_gamma_to_alpha(ChiSqTestSpec(df=6.0, alpha=alpha))
+        assert match_gamma_to_alpha(ChiSqTestSpec(df=6.0, alpha=2.0**-53)).gamma > 1.0
+
     def test_requires_alpha(self):
         with pytest.raises(DomainError):
             match_gamma_to_alpha(ChiSqTestSpec(df=6.0, gamma=3.0))
@@ -242,11 +248,12 @@ class TestMatchedThresholdReuse:
         match_gamma_to_alpha(spec)
         assert calls == {"core": 0, "quantile": 1}
 
-    def test_failures_are_not_stored(self):
-        spec = ChiSqTestSpec(df=6.0, alpha=0.42319)
+    def test_failures_are_not_stored(self, monkeypatch):
+        monkeypatch.setattr(solver, "_log_bf_core", lambda y, theta, df: np.full_like(
+            theta, math.nan))
+        spec = ChiSqTestSpec(df=6.0, alpha=0.05)
         for _ in range(2):
-            with pytest.raises(BracketingError,
-                               match=r"matched threshold for alpha=0\.42319, df=6\.0"):
+            with pytest.raises(NoRootError, match=r"alpha=0\.05, df=6\.0"):
                 match_gamma_to_alpha(spec)
         assert solver._matched_maximum.cache_info().currsize == 0
 
@@ -278,11 +285,6 @@ class TestMatchedThresholdReuse:
         assert cached.cache_info().misses == misses + 1
 
 
-def _scan_only(monkeypatch):
-    """Solve as if the z-root gave no estimate, so the scan always runs."""
-    monkeypatch.setattr(solver, "_theta_star_z_root", lambda gamma, df: None)
-
-
 def _counting_grid(monkeypatch):
     calls = []
     grid = solver.rejection_boundary_grid
@@ -296,41 +298,40 @@ def _counting_grid(monkeypatch):
 
 
 class TestZRootPlacement:
-    """The z-root of the first-order condition places the golden section,
-    which then returns the bits the 200-point scan would have led to."""
+    """The z-root of the first-order condition places the golden section on
+    the cell of the 200-point grid that a whole-grid scan picked, so the
+    golden-section bits stay; where four values cannot settle that cell,
+    the root itself is returned."""
 
-    # the four power_mc strata, a large df, and a threshold next to 1: at
-    # df 0.01 theta* sits at the scan's lower edge, and at df 1e6 the root
-    # loses its precision, so the scan runs
-    @pytest.mark.parametrize("df, gamma", [(0.5, 1.5), (2.929, 5.814), (17.16, 22.53),
-                                           (100.6, 87.33), (1e5, 3.46),
-                                           (0.01, 1.000000001), (1e6, 1.000000001)])
-    def test_same_bits_as_the_scan(self, df, gamma, monkeypatch):
-        spec = ChiSqTestSpec(df=df, gamma=gamma)
-        placed = solve_umpbt_chisq(spec)
-        _scan_only(monkeypatch)
-        assert solve_umpbt_chisq(spec) == placed
+    # bits recorded while the scan still ran: the four power_mc strata and
+    # a large df
+    @pytest.mark.parametrize("df, gamma, theta_star, boundary", [
+        (0.5, 1.5, 1.7186322351276266, 1.2082734948119405),
+        (2.929, 5.814, 7.029226138635284, 9.096203043561522),
+        (17.16, 22.53, 19.12259576791591, 35.588812039412545),
+        (100.6, 87.33, 48.716082440001394, 148.82477800138787),
+        (1e5, 3.46, 706.2902296155528, 100706.2818197119),
+    ])
+    def test_solve_keeps_the_golden_section_bits(self, df, gamma, theta_star, boundary):
+        sol = solve_umpbt_chisq(ChiSqTestSpec(df=df, gamma=gamma))
+        assert (sol.theta_star, sol.boundary) == (theta_star, boundary)
+
+    # df < 2, where y_alpha is no upper bracket of the match root
+    @pytest.mark.parametrize("df, alpha, gamma, theta_star", [
+        (0.05, 0.05, 1.6319561278993737, 1.4434308874306558),
+        (0.05, 0.001, 133.7619802649803, 5.430209815212604),
+        (0.552, 0.05, 3.3925965596642276, 3.1444882401266185),
+        (0.552, 0.001, 115.35762722197877, 9.486993264903676),
+    ])
+    def test_match_keeps_the_golden_section_bits(self, df, alpha, gamma, theta_star):
+        sol = match_gamma_to_alpha(ChiSqTestSpec(df=df, alpha=alpha))
+        assert (sol.gamma, sol.theta_star) == (gamma, theta_star)
 
     @pytest.mark.parametrize("df, gamma", [(0.5, 1.5), (6.0, 3.46), (100.6, 87.33)])
     def test_placed_solve_skips_the_scan(self, df, gamma, monkeypatch):
         calls = _counting_grid(monkeypatch)
         solve_umpbt_chisq(ChiSqTestSpec(df=df, gamma=gamma))
         assert calls == []
-
-    @pytest.mark.parametrize("where", ["1e-9 root", "root / 3", "3 root", "1e9 root",
-                                       "first scan point", "next to last scan point"])
-    def test_misplaced_root_falls_back_to_the_scan(self, where, monkeypatch):
-        spec = ChiSqTestSpec(df=6.0, gamma=3.46)
-        placed = solve_umpbt_chisq(spec)
-        root = solver._theta_star_z_root(3.46, 6.0)
-        thetas = np.geomspace(solver._SCAN_THETA_LO, 10.0 * (6.0 + 2.0 * math.log(3.46)),
-                              solver._SCAN_POINTS)
-        near = {"1e-9 root": 1e-9 * root, "root / 3": root / 3, "3 root": 3.0 * root,
-                "1e9 root": 1e9 * root, "first scan point": thetas[0],
-                "next to last scan point": thetas[-2]}[where]
-        monkeypatch.setattr(solver, "_theta_star_z_root", lambda gamma, df: near)
-        calls = _counting_grid(monkeypatch)
-        assert solve_umpbt_chisq(spec) == placed and calls
 
     @pytest.mark.parametrize("df, gamma", [(0.5, 1.5), (1.0, 3.0), (6.0, 3.46),
                                            (17.16, 22.53), (100.6, 87.33)])
@@ -351,14 +352,33 @@ class TestZRootPlacement:
 
     def test_unconverged_scan_still_names_the_pair(self, monkeypatch):
         # the non-converging evaluator of test_grid_reports_unconverged_root,
-        # here NaN at every alternative above theta = 1: the z-root finds no
-        # bracket, and the scan reports the failure
+        # here NaN at every alternative above theta = 1
         core = solver._log_bf_core
         monkeypatch.setattr(solver, "_log_bf_core", lambda y, theta, df: np.where(
             theta > 1.0, math.nan, core(y, theta, df)))
-        assert solver._theta_star_z_root(3.0, 6.0) is None
+        with pytest.raises(NoRootError, match=r"gamma=3\.0, df=6\.0"):
+            solver._theta_star_z_root(3.0, 6.0)
         with pytest.raises(NoRootError, match=r"gamma=3\.0, df=6\.0"):
             solve_umpbt_chisq(ChiSqTestSpec(df=6.0, gamma=3.0))
+
+    @pytest.mark.parametrize("df, alpha", [(0.05, 0.05), (1.0, 0.01), (6.0, 0.05),
+                                           (120.0, 0.001)])
+    def test_match_root_against_mpmath(self, df, alpha):
+        y_alpha = chisq_quantile(1.0 - alpha, df)
+        theta = solver._matched_z_root(y_alpha, df)
+        exact = oracles.matched_theta_star_mp(y_alpha, df, math.sqrt(theta * y_alpha))
+        assert theta == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_near_bound_alpha_returns_the_root(self):
+        """alpha 0.42319 lies 6e-6 below P(chi2_6 > 6): log gamma is 3e-14,
+        too flat for four grid values to settle a cell, so the root itself
+        comes out, limited by the rounding of log R where y_alpha - df is
+        7e-7."""
+        sol = match_gamma_to_alpha(ChiSqTestSpec(df=6.0, alpha=0.42319))
+        exact = oracles.matched_theta_star_mp(sol.boundary, 6.0,
+                                              math.sqrt(sol.theta_star * sol.boundary))
+        assert sol.theta_star == pytest.approx(exact, rel=1e-7, abs=0.0)
+        assert sol.gamma > 1.0
 
 
 class TestExpFamilyBoundary:

@@ -307,6 +307,14 @@ class TestChisqQuantile:
     def test_roundtrip(self, p, df):
         assert abs(chisq_cdf(chisq_quantile(p, df), df) - p) <= 1e-10
 
+    @pytest.mark.parametrize("df", [1e8, 1e9])
+    def test_returns_where_an_ulp_exceeds_the_bisection_width(self, df):
+        # above y = 2**26 one ulp exceeds 1e-8, so the bisection stops when
+        # its ends are adjacent
+        y = chisq_quantile(0.95, df)
+        assert y > 2.0**26
+        assert abs(chisq_cdf(y, df) - 0.95) <= 1e-10
+
     def test_domain(self):
         for p in (0.0, 1.0, -0.2, 1.4):
             with pytest.raises(DomainError):
@@ -394,6 +402,10 @@ class TestNoncentralSf:
             NoncentralChiSq(0.0, 1.0)
         with pytest.raises(DomainError):
             NoncentralChiSq(6.0, -1.0)
+        # beyond 1e8 the Poisson window outgrows memory: 3.8e8 terms at 1e15
+        with pytest.raises(DomainError, match=r"\[0, 1e\+08\], got 1e\+15"):
+            noncentral_chisq_sf(10.0, NoncentralChiSq(6.0, 1e15))
+        assert NoncentralChiSq(6.0, 1e8).noncentrality == 1e8
 
 
 class TestSampler:
