@@ -86,7 +86,7 @@ class TestChisqCommand:
         assert err.startswith("error: domain:") and "does not round to 1" in err
 
     def test_near_bound_alpha_solves(self):
-        """6e-6 below P(chi2_6 > 6): log gamma is 3e-14, above its rounding."""
+        """2e-7 relative below P(chi2_6 > 6): log gamma 3e-14 is above its rounding."""
         code, out, err = invoke(["chisq", "--df", "6", "--alpha", "0.42319"])
         assert code == 0 and err == ""
         assert parse_plain(out)[0]["gamma"] == "1"

@@ -370,10 +370,10 @@ class TestZRootPlacement:
         assert theta == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_near_bound_alpha_returns_the_root(self):
-        """alpha 0.42319 lies 6e-6 below P(chi2_6 > 6): log gamma is 3e-14,
-        too flat for four grid values to settle a cell, so the root itself
-        comes out, limited by the rounding of log R where y_alpha - df is
-        7e-7."""
+        """alpha 0.42319 lies 2e-7 relative below P(chi2_6 > 6): log gamma is
+        3e-14, too flat for four grid values to settle a cell, so the root
+        itself comes out, limited by the rounding of log R where y_alpha - df
+        is 7e-7."""
         sol = match_gamma_to_alpha(ChiSqTestSpec(df=6.0, alpha=0.42319))
         exact = oracles.matched_theta_star_mp(sol.boundary, 6.0,
                                               math.sqrt(sol.theta_star * sol.boundary))
