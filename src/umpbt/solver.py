@@ -236,7 +236,7 @@ def _z_root(f, z: float, what: str) -> float:
         z -= step
         if abs(step) <= 4.0 * _EPS * z:
             return z
-    raise NoRootError(f"no root in z for {what}")  # pragma: no cover - see above
+    raise NoRootError(f"no root in z for {what}")  # pragma: no cover - halving ends it
 
 
 def _ratio_slope(z: float, df: float) -> tuple[float, float]:
