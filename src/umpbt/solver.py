@@ -10,6 +10,8 @@ y R(z) = z, so log g is unimodal in theta and r(theta) is quasi-convex.  On
 that first-order condition theta = z R(z) and y = z / R(z), so the solve
 for a threshold and the match to a size are each one increasing root in z,
 found by one bracketed Newton iteration with closed-form slopes.  The
+boundaries of a grid of alternatives are the same iteration run
+elementwise: in z, log g(z^2 / theta, theta) has slope R(z).  The
 benchmark gate's reference holds the theta* of a golden section on a
 200-point log grid, so where four grid values around the root settle the
 grid's minimal cell, that golden section runs and the same bits come out;
@@ -41,8 +43,9 @@ from .bayes import ChiSqTestSpec, ExpFamilyModel, _bessel_ratio, _log_bf_core
 from .errors import DomainError, NoRootError
 from .special import chisq_cdf, chisq_quantile
 
-# brentq and find_root are imported where a boundary root is found: loading
-# scipy.optimize takes ~0.25 s, which a match, finding none, would pay.
+# brentq is imported where a scalar boundary or an exponential-family theta*
+# is found: loading scipy.optimize takes ~0.25 s, which a match, finding
+# neither, would pay.
 
 __all__ = [
     "UmpbtSolution",
@@ -64,6 +67,7 @@ _GRID_POINTS = 200
 _GRID_THETA_LO = 1e-4
 _REFINE_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
+_THETA_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -130,9 +134,12 @@ def _check_boundary_args(theta, gamma: float, df: float) -> None:
     if not (df > 0):
         raise DomainError(f"degrees of freedom must be positive, got {df}")
     theta = np.asarray(theta, dtype=float)
-    bad = theta[~((theta > 0) & np.isfinite(theta))]
+    # above 1e150 theta r(theta) ~ theta^2 / 4 nears overflow; the solve's
+    # grid ends at 10 (df + 2 log gamma), a dominance grid at 100 theta*
+    bad = theta[~((theta > 0) & (theta <= _THETA_MAX))]
     if bad.size:
-        raise DomainError(f"noncentrality must be positive, got {bad[0]}")
+        raise DomainError(f"noncentrality theta={float(bad[0])!r} must lie in "
+                          f"(0, {_THETA_MAX:g}]")
     if not (gamma > 0) or not math.isfinite(gamma):
         raise DomainError(f"evidence threshold must be positive, got {gamma}")
     if gamma <= 1.0:
@@ -145,52 +152,30 @@ def _check_boundary_args(theta, gamma: float, df: float) -> None:
         )
 
 
-def _upper_bracket(thetas: np.ndarray, log_gamma: float, df: float) -> np.ndarray:
-    """Upper ends y with log g(y, theta) >= log gamma, one per alternative.
-
-    Each end starts from a closed-form guess and is multiplied by 4 while
-    it still falls short; both boundary solvers bracket their root with it.
-    """
-    z_up = thetas / 2.0 + log_gamma + df + 12.0
-    hi = np.maximum(4.0 * z_up**2 / thetas, df + 4.0 * log_gamma + 40.0)
-    for _ in range(200):
-        short = _log_bf_core(hi, thetas, df) < log_gamma
-        if not np.any(short):
-            return hi
-        hi = np.where(short, hi * 4.0, hi)
-    raise NoRootError(  # pragma: no cover - g is unbounded in y
-        "failed to bracket the rejection boundary from above")
-
-
 def rejection_boundary_grid(thetas: np.ndarray, gamma: float, df: float) -> np.ndarray:
     """Vectorized :func:`rejection_boundary` over an array of alternatives.
 
-    Solves log g(e^u, theta) = log gamma in u = log y for every element as
-    one ``scipy.optimize.elementwise.find_root`` call, each bracketed by
-    [log 1e-12, log of its ``_upper_bracket`` end] and converged to a few
-    ulps in u, or :class:`NoRootError` names (gamma, df).  Equal
-    alternatives take the same iterates in the same calls, so they return
-    equal bits, as ``dominance_check``'s zero self-margin needs.  An empty
-    array returns an empty one.
+    Each element is a root in z = sqrt(theta y) of F(z) = log g(z^2 / theta,
+    theta) - log gamma, whose slope is R(z) exactly.  The start
+    sqrt(df (theta + 2 log gamma)) lies at or below the root, since
+    0F1(; b; x) <= e^(x / b).  For df >= 1, R increases, so F is convex:
+    the first Newton step lands above the root and the later ones descend
+    to it (below df 1 the bracket keeps the steps in).  A non-finite value
+    raises :class:`NoRootError` naming (gamma, df).  Equal alternatives take
+    the same iterates, so they return equal bits, as ``dominance_check``'s
+    zero self-margin needs.  An empty array returns an empty one.
     """
     thetas = np.asarray(thetas, dtype=float)
     _check_boundary_args(thetas, gamma, df)
-    if thetas.size == 0:
-        return np.empty_like(thetas)
     log_gamma = math.log(gamma)
 
-    def excess(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return _log_bf_core(np.exp(u), theta, df) - log_gamma
+    def excess(z: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta = thetas.flat[live]
+        return _log_bf_core(z * z / theta, theta, df) - log_gamma, _bessel_ratio(z, df)
 
-    from scipy.optimize.elementwise import find_root
-    eps = np.finfo(float).eps
-    res = find_root(excess, (np.full_like(thetas, math.log(1e-12)),
-                             np.log(_upper_bracket(thetas, log_gamma, df))),
-                    args=(thetas,), tolerances=dict(xatol=4 * eps, xrtol=4 * eps))
-    if not np.all(res.success):
-        raise NoRootError(
-            f"rejection boundary root did not converge for gamma={gamma}, df={df}")
-    return np.exp(res.x)
+    z = _z_root(excess, np.sqrt(df * (thetas.ravel() + 2.0 * log_gamma)),
+                f"gamma={gamma}, df={df}")
+    return z.reshape(thetas.shape) ** 2 / thetas
 
 
 def rejection_boundary(theta: float, gamma: float, df: float) -> float:
@@ -200,48 +185,65 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
     upper interval (boundary, inf) because dg/dy > 0 everywhere.
     """
     _check_boundary_args(theta, gamma, df)
-    log_gamma = math.log(gamma)
-    theta_arr = np.array([float(theta)])
+    theta, log_gamma = float(theta), math.log(gamma)
+    theta_arr = np.array([theta])
 
     def f(y: float) -> float:
         return float(_log_bf_core(np.array([y]), theta_arr, df)[0]) - log_gamma
 
-    hi = float(_upper_bracket(theta_arr, log_gamma, df)[0])
+    # a closed-form upper end, grown fourfold only when brentq finds f < 0
+    # at both ends; (z_up * z_up) rounds as numpy's square did, which the
+    # reference's golden-section bits depend on
+    z_up = theta / 2.0 + log_gamma + df + 12.0
+    hi = max(4.0 * (z_up * z_up) / theta, df + 4.0 * log_gamma + 40.0)
     from scipy.optimize import brentq
-    return float(brentq(f, 1e-12, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps,
-                        maxiter=200))
+    while True:
+        try:
+            return float(brentq(f, 1e-12, hi, xtol=1e-13, rtol=4 * _EPS, maxiter=200))
+        except ValueError as exc:
+            if "different signs" not in str(exc):
+                raise
+            hi *= 4.0
 
 
-def _z_root(f, z: float, what: str) -> float:
-    """Root of f(z) = (value, slope), increasing from f(0+) < 0, for z > 0.
+def _z_root(f, z: np.ndarray, what: str) -> np.ndarray:
+    """Elementwise root of f(z, live) = (value, slope), each increasing from
+    f(0+) < 0, for z > 0; ``live`` indexes the elements f is given.
 
-    Newton steps from ``z`` keep a bracket (lo, hi), first (0, inf); a step
-    that leaves it, or above 1e-8 z fails to halve the last, gives way to
-    bisection (to 4 lo while hi is inf).  A step within 4 ulps ends it, as
-    does one within 1e-8 z that fails to halve the last, where only the
-    rounding of f can stall Newton.  A non-finite value raises NoRootError.
+    Newton steps from ``z`` keep one bracket (lo, hi) per element, first
+    (0, inf); a step that leaves it, or above 1e-8 z fails to halve the
+    last, gives way to bisection (to 4 lo while hi is inf).  A step within
+    4 ulps ends an element, as does one within 1e-8 z that fails to halve
+    the last, where only the rounding of f can stall Newton; the elements
+    still live go on.  A non-finite value raises NoRootError.
     """
-    lo, hi, step = 0.0, math.inf, math.inf
+    root, live, lo = np.empty_like(z), np.arange(z.size), np.zeros_like(z)
+    hi, last = np.full_like(z, math.inf), math.inf  # last: |step| of the last step
     for _ in range(400):
-        value, slope = f(z)
-        if not math.isfinite(value):
-            raise NoRootError(f"no root in z for {what}: non-finite value at z={z!r}")
-        lo, hi = (z, hi) if value < 0.0 else (lo, z)
-        before, step = step, value / slope
-        small, halves = abs(step) <= 1e-8 * z, abs(2.0 * step) <= abs(before)
-        if abs(step) <= 4.0 * _EPS * z or (small and not halves):
-            return z - step
-        if not (lo < z - step <= hi and (halves or small)):
-            step = z - (0.5 * (lo + hi) if hi < math.inf else 4.0 * lo)
-        z -= step
-        if abs(step) <= 4.0 * _EPS * z:
-            return z
+        if not z.size:
+            return root
+        value, slope = f(z, live)
+        if not np.isfinite(value).all():
+            bad = float(z[~np.isfinite(value)][0])
+            raise NoRootError(f"no root in z for {what}: non-finite value at z={bad!r}")
+        lo, hi = np.where(value < 0.0, z, lo), np.where(value < 0.0, hi, z)
+        step = value / slope
+        small, halves = np.abs(step) <= 1e-8 * z, 2.0 * np.abs(step) <= last
+        done = (np.abs(step) <= 4.0 * _EPS * z) | (small & ~halves)
+        keep = done | (lo < z - step) & (z - step <= hi) & (halves | small)
+        if not keep.all():
+            step = np.where(keep, step, z - np.where(hi < math.inf, 0.5 * (lo + hi), 4.0 * lo))
+        z, last = z - step, np.abs(step)
+        done |= last <= 4.0 * _EPS * z
+        if done.any():
+            root[live[done]] = z[done]
+            live, z, lo, hi, last = (a[~done] for a in (live, z, lo, hi, last))
     raise NoRootError(f"no root in z for {what}")  # pragma: no cover - halving ends it
 
 
-def _ratio_slope(z: float, df: float) -> tuple[float, float]:
+def _ratio_slope(z: np.ndarray, df: float) -> tuple[np.ndarray, np.ndarray]:
     """R(z) and R'(z) = 1 - (df - 1) R / z - R^2."""
-    r = float(_bessel_ratio(np.array([z]), df)[0])
+    r = _bessel_ratio(z, df)
     return r, 1.0 - (df - 1.0) * r / z - r * r
 
 
@@ -252,13 +254,12 @@ def _theta_star_z_root(gamma: float, df: float) -> float:
     """
     log_gamma = math.log(gamma)
 
-    def excess(z: float) -> tuple[float, float]:
+    def excess(z: np.ndarray, _) -> tuple[np.ndarray, np.ndarray]:
         r, slope = _ratio_slope(z, df)
-        log_g = float(_log_bf_core(np.array([z / r]), np.array([z * r]), df)[0])
-        return log_g - log_gamma, 0.5 * (r - z * slope)
+        return _log_bf_core(z / r, z * r, df) - log_gamma, 0.5 * (r - z * slope)
 
-    z = _z_root(excess, df + 2.0 * log_gamma + 1.0, f"gamma={gamma}, df={df}")
-    return z * _ratio_slope(z, df)[0]
+    z = _z_root(excess, np.array([df + 2.0 * log_gamma + 1.0]), f"gamma={gamma}, df={df}")
+    return float((z * _ratio_slope(z, df)[0])[0])
 
 
 def _matched_z_root(y_alpha: float, df: float) -> float:
@@ -269,11 +270,13 @@ def _matched_z_root(y_alpha: float, df: float) -> float:
     """
     log_y = math.log(y_alpha)
 
-    def excess(z: float) -> tuple[float, float]:
+    def excess(z: np.ndarray, _) -> tuple[np.ndarray, np.ndarray]:
         r, slope = _ratio_slope(z, df)
-        return math.log(z / r) - log_y, 1.0 / z - slope / r
+        # math.log: numpy's SIMD log may differ in the last bit
+        return np.full_like(z, math.log(z[0] / r[0]) - log_y), 1.0 / z - slope / r
 
-    z = _z_root(excess, math.sqrt(y_alpha * (y_alpha - df)), f"y_alpha={y_alpha}, df={df}")
+    z = float(_z_root(excess, np.array([math.sqrt(y_alpha * (y_alpha - df))]),
+                      f"y_alpha={y_alpha}, df={df}")[0])
     return z * z / y_alpha
 
 

@@ -409,6 +409,11 @@ def noncentral_chisq_sf(y: float, dist: NoncentralChiSq) -> float:
         return min(1.0, max(0.0, float(_sp.gammaincc(dist.df / 2.0, y / 2.0))))
     if y == 0.0:
         return 1.0
+    # Chernoff at t = 1/4: P(Y > y) <= exp(lam + (df/2) log 2 - y/4), which
+    # below 2^-1075 rounds to 0, and a window sized from such a y can take
+    # gigabytes
+    if lam + 0.5 * dist.df * math.log(2.0) - 0.25 * y < -1075.0 * math.log(2.0):
+        return 0.0
 
     a, x = dist.df / 2.0, y / 2.0
     centre = max(lam, 0.5 * (math.sqrt(a * a + 4.0 * lam * x) - a))

@@ -255,6 +255,17 @@ class TestPowerCommand:
         keys = [(float(r["theta_t"]), float(r["theta"])) for r in rows]
         assert keys == sorted(keys)
 
+    def test_huge_alternatives_exit_cleanly(self):
+        # a fresh process, where a leaked warning would print: theta 1e40 has
+        # its boundary 2.5e39 past the survival function's Chernoff cut, and
+        # theta above 1e150 lies outside the domain
+        argv = [TestParserReuse.RUN, "power", "--df", "6", "--gamma", "3.46", "--theta-grid"]
+        code, out, err = fresh_process(*argv, "1e40:1e40:1")
+        assert (code, err) == (0, "")
+        assert [row["h"] for row in parse_plain(out)[1]] == ["0"] * 5
+        assert fresh_process(*argv, "1e300:1e300:1") == (
+            1, "", "error: domain: noncentrality theta=1e+300 must lie in (0, 1e+150]\n")
+
     def test_mc_column(self):
         code, out, _ = invoke(["power", "--df", "2", "--gamma", "3",
                                "--theta-grid", "2:6:2:log",

@@ -1,6 +1,7 @@
 """Solver layer: boundaries, alternative derivation, matching, the df curve."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,60 @@ class TestRejectionBoundary:
             assert bnd == pytest.approx(exact, rel=rel, abs=0.0)
         if df == 100.6:
             assert math.sqrt(thetas[-1] * grid[-1]) > 700.0
+
+    # each grid spans the solve's scan range, 1e-4 .. 10 (df + 2 log gamma)
+    @pytest.mark.parametrize("df, gamma", [(0.5, 3.0), (6.0, 3.46), (17.16, 22.53),
+                                           (100.6, 87.33)])
+    def test_grid_matches_one_element_calls(self, df, gamma):
+        thetas = np.geomspace(1e-4, 10.0 * (df + 2.0 * math.log(gamma)), 40)
+        grid = rejection_boundary_grid(thetas, gamma, df)
+        for theta, bnd in zip(thetas, grid):
+            one = rejection_boundary_grid(np.array([theta]), gamma, df)[0]
+            assert bnd == pytest.approx(one, rel=1e-15, abs=0.0)
+
+    # the four power_mc strata: theta* and the grid ends theta*/2, 2 theta*
+    # as the benchmark's argv print them
+    @pytest.mark.parametrize("df, gamma", [(0.5, 1.5), (2.929, 5.814), (17.16, 22.53),
+                                           (100.6, 87.33)])
+    def test_grid_takes_few_evaluations(self, df, gamma, monkeypatch):
+        theta_star = solve_umpbt_chisq(ChiSqTestSpec(df=df, gamma=gamma)).theta_star
+        thetas = np.array([float(f"{theta_star / 2:.6g}"), float(f"{theta_star * 2:.6g}"),
+                           theta_star])
+        calls = []
+        core = solver._log_bf_core
+        monkeypatch.setattr(solver, "_log_bf_core",
+                            lambda y, theta, df: calls.append(1) or core(y, theta, df))
+        rejection_boundary_grid(thetas, gamma, df)
+        assert 1 <= len(calls) <= 8
+
+    def test_largest_alternative(self):
+        # theta r(theta) ~ theta^2 / 4 overflows from theta ~ 2.7e154
+        assert rejection_boundary_grid(np.array([1e150]), 3.46, 6.0)[0] == \
+            pytest.approx(2.5e149, rel=1e-12)
+        for big in (math.nextafter(1e150, math.inf), 1e300):
+            message = re.escape(f"theta={big!r} must lie in (0, 1e+150]")
+            with pytest.raises(DomainError, match=message):
+                rejection_boundary_grid(np.array([2.0, big]), 3.46, 6.0)
+            with pytest.raises(DomainError, match=message):
+                rejection_boundary(big, 3.46, 6.0)
+
+    def test_scalar_root_evaluates_each_point_once(self, monkeypatch):
+        ys = []
+        core = solver._log_bf_core
+        monkeypatch.setattr(solver, "_log_bf_core",
+                            lambda y, theta, df: ys.append(float(y[0])) or core(y, theta, df))
+        rejection_boundary(7.31, 3.46, 6.0)
+        assert len(ys) == len(set(ys)) > 2
+
+    def test_scalar_root_grows_a_short_upper_end(self, monkeypatch):
+        # log g lowered by 60 puts the root far above the closed-form end
+        core = solver._log_bf_core
+        monkeypatch.setattr(solver, "_log_bf_core",
+                            lambda y, theta, df: core(y, theta, df) - 60.0)
+        boundary = rejection_boundary(2.0, 3.0, 6.0)
+        residual = float(core(np.array([boundary]), np.array([2.0]), 6.0)[0]) - 60.0
+        assert residual == pytest.approx(math.log(3.0), rel=1e-12)
+        assert boundary > 4.0 * (1.0 + math.log(3.0) + 6.0 + 12.0) ** 2 / 2.0
 
     def test_grid_equal_alternatives_give_equal_bits(self):
         # dominance_check's zero self-margin relies on this

@@ -395,6 +395,27 @@ class TestNoncentralSf:
         exact = oracles.noncentral_chisq_sf_mp(4293.38, 0.5, 5000.0)
         assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("df,theta", [(0.5, 0.1), (6.0, 3.46), (100.6, 500.0),
+                                          (1.0, 1e4)])
+    def test_zero_past_the_chernoff_cut(self, df, theta, monkeypatch):
+        """Past y = 4 (theta/2 + (df/2 + 1075) log 2) the Chernoff bound at
+        t = 1/4 is below 2^-1075, so the value is 0.0 and no Poisson window
+        is sized; before the cut the window runs as before."""
+        from umpbt import special
+
+        cut = 4.0 * (theta / 2.0 + (df / 2.0 + 1075.0) * math.log(2.0))
+        windows = []
+        weights = special._log_poisson_weights
+        monkeypatch.setattr(special, "_log_poisson_weights",
+                            lambda k, lam: windows.append(k.size) or weights(k, lam))
+        dist = NoncentralChiSq(df, theta)
+        for y in (cut * (1.0 + 1e-12), 1e20, 1e300):
+            assert noncentral_chisq_sf(y, dist) == 0.0
+        assert windows == []
+        # just before the cut the true value is already below 2^-1075
+        assert noncentral_chisq_sf(cut * (1.0 - 1e-12), dist) == 0.0
+        assert windows
+
     def test_domain(self):
         with pytest.raises(DomainError):
             noncentral_chisq_sf(-1.0, NoncentralChiSq(6.0, 1.0))
