@@ -259,7 +259,7 @@ def _theta_star_z_root(gamma: float, df: float) -> float:
         return _log_bf_core(z / r, z * r, df) - log_gamma, 0.5 * (r - z * slope)
 
     z = _z_root(excess, np.array([df + 2.0 * log_gamma + 1.0]), f"gamma={gamma}, df={df}")
-    return float((z * _ratio_slope(z, df)[0])[0])
+    return float(z[0] * _ratio_slope(z, df)[0][0])
 
 
 def _matched_z_root(y_alpha: float, df: float) -> float:
