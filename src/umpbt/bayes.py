@@ -28,6 +28,8 @@ __all__ = [
     "expfam_log_bf",
 ]
 
+_TINIEST = 5e-324
+
 
 @dataclass(frozen=True)
 class ChiSqTestSpec:
@@ -64,8 +66,11 @@ def _log_bf_core(y: np.ndarray, theta: np.ndarray, df: float) -> np.ndarray:
 
     log g(y, theta) = log Gamma(df/2) - theta/2 + (df/2 - 1) log 2
                       + (1 - df/2) log z + log I_{df/2-1}(z),   z = sqrt(theta y)
+
+    A product theta y that underflows to 0 is taken as the least subnormal,
+    where the value is already -theta/2, the limit at z = 0.
     """
-    z = np.sqrt(theta * y)
+    z = np.sqrt(np.maximum(theta * y, _TINIEST))
     order = df / 2.0 - 1.0
     return (
         math.lgamma(df / 2.0)

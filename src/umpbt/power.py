@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import ChiSqTestSpec, _log_bf_core
+from .bayes import _TINIEST, ChiSqTestSpec, _log_bf_core
 from .errors import DomainError
 from .solver import rejection_boundary, rejection_boundary_grid, solve_umpbt_chisq
 from .special import NoncentralChiSq, noncentral_chisq_sf, sample_noncentral_chisq
@@ -31,6 +31,9 @@ __all__ = [
 
 # numerical slack allowed on H(theta) - H(theta*) before dominance fails
 DOMINANCE_MARGIN_TOL = 1e-10
+
+# most Monte Carlo draws per theta_t: an 8 GiB array of float64
+_MAX_DRAWS = 2**30
 
 
 @dataclass(frozen=True)
@@ -150,15 +153,33 @@ def _first_rejection(draws: np.ndarray, thetas: np.ndarray, log_gamma: float,
 
     log g increases in the statistic, so the rejecting draws are a tail of
     the sorted array, found by one bisection vectorized across ``thetas``.
+    Its last steps evaluate the draws on either side of the cut.  Where one
+    of them lies within log g's rounding of log gamma, rounding may break
+    that order across log gamma, so that row counts over every draw instead.
     """
     draws.sort()
     lo = np.zeros(thetas.shape, dtype=np.intp)
     hi = np.full(thetas.shape, draws.size, dtype=np.intp)
+    below = np.full(thetas.shape, -np.inf)  # log g at draws[lo - 1]
+    above = np.full(thetas.shape, np.inf)   # log g at draws[hi]
     while (open_rows := np.flatnonzero(lo < hi)).size:
         mid = (lo[open_rows] + hi[open_rows]) // 2
-        rejects = _log_bf_core(draws[mid], thetas[open_rows], df) > log_gamma
+        log_bf = _log_bf_core(draws[mid], thetas[open_rows], df)
+        rejects = log_bf > log_gamma
         hi[open_rows[rejects]] = mid[rejects]
+        above[open_rows[rejects]] = log_bf[rejects]
         lo[open_rows[~rejects]] = mid[~rejects] + 1
+        below[open_rows[~rejects]] = log_bf[~rejects]
+    # log g's terms are each below 2 |lgamma(b)| + theta + z
+    # + 2 |b - 1| (|log z| + 1), largest at an end draw; the kernel holds
+    # 1e-13 of them, so 1e-12 bounds the rounding
+    b = df / 2.0
+    z = np.sqrt(np.maximum(thetas[:, None] * draws[[0, -1]], _TINIEST))
+    rounding = 1e-12 * (2.0 * abs(math.lgamma(b)) + thetas + z[:, 1]
+                        + 2.0 * abs(b - 1.0) * (np.abs(np.log(z)).max(axis=1) + 1.0))
+    for row in np.flatnonzero(np.minimum(above - log_gamma, log_gamma - below) <= rounding):
+        lo[row] = draws.size - np.count_nonzero(
+            _log_bf_core(draws, np.full(draws.size, thetas[row]), df) > log_gamma)
     return lo
 
 
@@ -187,8 +208,9 @@ def mc_rejection_rate(theta, theta_t, gamma: float, df: float, n_draws: int,
     bad = theta_ts[~((theta_ts >= 0) & np.isfinite(theta_ts))]
     if bad.size:
         raise DomainError(f"theta_t must be finite and nonnegative, got {bad[0]}")
-    if isinstance(n_draws, bool) or not hasattr(n_draws, "__index__") or n_draws < 1:
-        raise DomainError(f"n_draws must be an integer of at least 1, got {n_draws!r}")
+    if (isinstance(n_draws, bool) or not hasattr(n_draws, "__index__")
+            or not 1 <= n_draws <= _MAX_DRAWS):
+        raise DomainError(f"n_draws must be an integer in [1, 2**30], got {n_draws!r}")
     if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     n_draws = operator.index(n_draws)

@@ -68,6 +68,7 @@ _GRID_THETA_LO = 1e-4
 _REFINE_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 _THETA_MAX = 1e150
+_BOUNDARY_MAX = 1e300
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,13 @@ def _check_boundary_args(theta, gamma: float, df: float) -> None:
             f"threshold gamma={gamma} does not exceed 1; the rejection region "
             "is not an upper interval"
         )
+    # 0F1(; b; x) <= e^(x / b) puts r(theta) above 2 df log gamma / theta;
+    # past 1e300 the root's z^2 / theta nears overflow
+    theta_min = 2.0 * df * math.log(gamma) / _BOUNDARY_MAX
+    bad = theta[theta < theta_min]
+    if bad.size:
+        raise DomainError(f"noncentrality theta={float(bad[0])!r} must be at least "
+                          f"{theta_min:.6g}, below which the boundary passes 1e+300")
 
 
 def rejection_boundary_grid(thetas: np.ndarray, gamma: float, df: float) -> np.ndarray:
@@ -191,11 +199,11 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
     def f(y: float) -> float:
         return float(_log_bf_core(np.array([y]), theta_arr, df)[0]) - log_gamma
 
-    # a closed-form upper end, grown fourfold only when brentq finds f < 0
-    # at both ends; (z_up * z_up) rounds as numpy's square did, which the
-    # reference's golden-section bits depend on
+    # a closed-form upper end, held finite, grown fourfold only when brentq
+    # finds f < 0 at both ends; (z_up * z_up) rounds as numpy's square did,
+    # which the reference's golden-section bits depend on
     z_up = theta / 2.0 + log_gamma + df + 12.0
-    hi = max(4.0 * (z_up * z_up) / theta, df + 4.0 * log_gamma + 40.0)
+    hi = min(max(4.0 * (z_up * z_up) / theta, df + 4.0 * log_gamma + 40.0), 1e308)
     from scipy.optimize import brentq
     while True:
         try:

@@ -444,13 +444,14 @@ def noncentral_chisq_sf(y: float, dist: NoncentralChiSq) -> float:
 def sample_noncentral_chisq(dist: NoncentralChiSq, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` variates, deterministically for a given ``seed``.
 
-    Uses the Poisson-gamma representation: K ~ Poisson(noncentrality/2),
-    then Y | K ~ Gamma(df/2 + K, scale 2).  Works for any real df > 0.
+    One call to numpy's ``Generator.noncentral_chisquare``, which works for
+    any real df > 0.  For df > 1 each draw is chi2(df - 1) + (Z + sqrt(nc))^2,
+    one gamma and one normal; for df <= 1 it is chi2(df + 2K) with
+    K ~ Poisson(nc / 2).  At noncentrality 0 each draw is 2 Gamma(df / 2),
+    the bits of ``default_rng(seed).gamma(df / 2, 2.0, n)``.
     """
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {n}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    k = rng.poisson(dist.noncentrality / 2.0, size=n)
-    return rng.gamma(dist.df / 2.0 + k, 2.0)
+    return np.random.default_rng(seed).noncentral_chisquare(dist.df, dist.noncentrality, n)

@@ -55,6 +55,15 @@ class TestNoncentralChiSqBayesFactor:
             df = float(rng.uniform(0.5, 60.0))
             assert math.isfinite(log_bf_ncchisq(y, theta, df))
 
+    @pytest.mark.parametrize("df", [0.2, 1.0, 2.0, 6.0, 200.0])
+    def test_underflowing_product_gives_the_null_limit(self, df):
+        # theta y rounds to 0 in the first three: log g is -theta/2 there,
+        # up to log g's absolute rounding
+        theta = np.array([1e-300, 5e-324, 1e-10, 3.0])
+        y = np.array([1e-30, 1e-3, 1e-320, 1e-320])
+        values = log_bf_ncchisq_array(y, theta, df)
+        np.testing.assert_allclose(values, -theta / 2.0, rtol=1e-15, atol=1e-11)
+
     def test_linear_wrapper_and_overflow(self):
         assert bf_ncchisq(4.0, 1.0, 1.0) == pytest.approx(
             math.exp(-0.5) * math.cosh(2.0), rel=1e-12

@@ -257,14 +257,25 @@ class TestPowerCommand:
 
     def test_huge_alternatives_exit_cleanly(self):
         # a fresh process, where a leaked warning would print: theta 1e40 has
-        # its boundary 2.5e39 past the survival function's Chernoff cut, and
-        # theta above 1e150 lies outside the domain
+        # its boundary 2.5e39 past the survival function's Chernoff cut;
+        # theta above 1e150 lies outside the domain, and so does 1e-310,
+        # whose boundary lies above 2 df log gamma / theta ~ 1.5e311
         argv = [TestParserReuse.RUN, "power", "--df", "6", "--gamma", "3.46", "--theta-grid"]
         code, out, err = fresh_process(*argv, "1e40:1e40:1")
         assert (code, err) == (0, "")
         assert [row["h"] for row in parse_plain(out)[1]] == ["0"] * 5
         assert fresh_process(*argv, "1e300:1e300:1") == (
             1, "", "error: domain: noncentrality theta=1e+300 must lie in (0, 1e+150]\n")
+        assert fresh_process(*argv, "1e-310:1e-310:1") == (
+            1, "", "error: domain: noncentrality theta=1e-310 must be at least 1.48952e-299, "
+            "below which the boundary passes 1e+300\n")
+
+    def test_draw_count_beyond_the_ceiling_exits_one(self):
+        code, out, err = invoke(["power", "--df", "6", "--gamma", "3.46", "--theta-grid",
+                                 "7:7:1", "--theta-t-grid", "0:0:1", "--mc", "100000000000000"])
+        assert (code, out) == (1, "")
+        assert err == ("error: domain: n_draws must be an integer in [1, 2**30], "
+                       "got 100000000000000\n")
 
     def test_mc_column(self):
         code, out, _ = invoke(["power", "--df", "2", "--gamma", "3",
@@ -287,10 +298,10 @@ class TestPowerCommand:
         _, rows = parse_plain(out)
         assert [(r["theta_t"], r["theta"], r["h_mc"]) for r in rows] == [
             ("0", "2", "0.0381"), ("0", "3.464101615", "0.056475"),
-            ("0", "6", "0.056325"), ("2", "2", "0.190775"),
-            ("2", "3.464101615", "0.2425"), ("2", "6", "0.242075"),
-            ("4", "2", "0.3675"), ("4", "3.464101615", "0.43335"),
-            ("4", "6", "0.432675"),
+            ("0", "6", "0.056325"), ("2", "2", "0.19135"),
+            ("2", "3.464101615", "0.2414"), ("2", "6", "0.2409"),
+            ("4", "2", "0.3697"), ("4", "3.464101615", "0.43555"),
+            ("4", "6", "0.43505"),
         ]
 
     def test_far_tail_row(self):
@@ -335,9 +346,10 @@ class TestPowerCommand:
         code, out, _ = invoke(argv)
         record, _ = parse_plain(out)
         assert code == 0 and record["dominance"] == "pass"
-        # the output recorded while the 200-point scan still ran
+        # the output recorded while the 200-point scan still ran, with the
+        # h_mc of its theta_t > 0 rows drawn by numpy's noncentral_chisquare
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "3482afe80a5745c91a336034d5fc44a4391197052d8705a92343d116ecb6714d")
+            "fd211baa2e4dc6d7ec09eb09a06ae2f19be0c0035570c8ee328ae95d4495e3ac")
         # the default grid misses theta*, so its margin is negative; a grid
         # holding theta* itself must give exactly zero
         theta_star = solve_umpbt_chisq(ChiSqTestSpec(df=6.0, gamma=3.46)).theta_star

@@ -110,6 +110,22 @@ class TestRejectionBoundary:
             with pytest.raises(DomainError, match=message):
                 rejection_boundary(big, 3.46, 6.0)
 
+    def test_smallest_alternative(self):
+        # 0F1(; b; x) <= e^(x / b) puts r(theta) above 2 df log gamma / theta,
+        # which passes 1e300 below this theta
+        smallest = 2.0 * 6.0 * math.log(3.0) / 1e300
+        grid = rejection_boundary_grid(np.array([smallest]), 3.0, 6.0)[0]
+        assert 1e300 < grid == pytest.approx(rejection_boundary(smallest, 3.0, 6.0), rel=1e-12)
+        for small in (math.nextafter(smallest, 0.0), 1e-310, 5e-324):
+            message = re.escape(f"theta={small!r} must be at least {smallest:.6g}")
+            with pytest.raises(DomainError, match=message):
+                rejection_boundary_grid(np.array([2.0, small]), 3.0, 6.0)
+            with pytest.raises(DomainError, match=message):
+                rejection_boundary(small, 3.0, 6.0)
+        # next to gamma = 1, 4 z_up^2 / theta would overflow as brentq's upper end
+        smallest = 2.0 * 6.0 * math.log(1.0 + 1e-9) / 1e300
+        assert 1e299 < rejection_boundary(smallest, 1.0 + 1e-9, 6.0) < 1.1e300
+
     def test_scalar_root_evaluates_each_point_once(self, monkeypatch):
         ys = []
         core = solver._log_bf_core

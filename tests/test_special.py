@@ -448,6 +448,27 @@ class TestSampler:
         assert draws.shape == (512,)
         assert np.all(draws > 0)
 
+    @pytest.mark.parametrize("df", [0.5, 1.0, 6.0, 100.6])
+    def test_central_draws_are_seeded_gammas(self, df):
+        # the draws of every theta_t = 0 Monte Carlo row, bit for bit
+        for n, seed in ((1, 0), (5, 7), (4096, 2026)):
+            draws = sample_noncentral_chisq(NoncentralChiSq(df, 0.0), n, seed)
+            assert np.array_equal(draws, np.random.default_rng(seed).gamma(df / 2.0, 2.0, n))
+
+    # df <= 1 takes numpy's Poisson mixture, df > 1 its chi2(df - 1) + (Z + sqrt(nc))^2
+    @pytest.mark.parametrize("df", [0.5, 1.0, 1.0001, 6.0, 100.6])
+    @pytest.mark.parametrize("theta", [0.3, 7.31, 200.0])
+    def test_tail_frequencies_against_survival_function(self, df, theta):
+        from scipy.stats import ncx2
+
+        n = 10**5
+        dist = NoncentralChiSq(df, theta)
+        draws = sample_noncentral_chisq(dist, n, seed=17)
+        for q in ncx2.ppf([0.1, 0.5, 0.9], df, theta):
+            p = noncentral_chisq_sf(float(q), dist)
+            envelope = 5.0 * math.sqrt(p * (1.0 - p) / n)
+            assert abs(np.count_nonzero(draws > q) / n - p) <= envelope, q
+
     def test_domain(self):
         with pytest.raises(DomainError):
             sample_noncentral_chisq(NoncentralChiSq(6.0, 1.0), 0, seed=1)
