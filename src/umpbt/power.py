@@ -196,7 +196,7 @@ def mc_rejection_rate(theta, theta_t, gamma: float, df: float, n_draws: int,
     of them, since log g increases in the statistic; a bisection over the
     draws finds the tail with ceil(log2(n_draws + 1)) evaluations of log g
     at actual draws, and no boundary solve.  One draw array is alive at a
-    time.
+    time, of at most 2**30 draws (8 GiB).
     """
     if not (gamma > 1) or not math.isfinite(gamma):
         raise DomainError(f"evidence threshold must exceed 1, got {gamma}")

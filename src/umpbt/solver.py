@@ -157,7 +157,8 @@ def _check_boundary_args(theta, gamma: float, df: float) -> None:
     bad = theta[theta < theta_min]
     if bad.size:
         raise DomainError(f"noncentrality theta={float(bad[0])!r} must be at least "
-                          f"{theta_min:.6g}, below which the boundary passes 1e+300")
+                          f"{theta_min:.6g}, below which the boundary passes "
+                          f"{_BOUNDARY_MAX:g}")
 
 
 def rejection_boundary_grid(thetas: np.ndarray, gamma: float, df: float) -> np.ndarray:
