@@ -201,8 +201,6 @@ class TestMcRejectionRate:
         (2.0, 1.0, 2.5, "n_draws"),
         (2.0, 1.0, True, "n_draws"),
         (2.0, 1.0, "100", "n_draws"),
-        (2.0, 1.0, 2**30 + 1, "n_draws"),
-        (2.0, 1.0, 10**14, "n_draws"),
         (math.inf, 1.0, 100, "theta"),
         (math.nan, 1.0, 100, "theta"),
         ([2.0, 0.0], 1.0, 100, "theta"),
@@ -212,6 +210,9 @@ class TestMcRejectionRate:
         (2.0, 1.0, 1.5, "seed"),
         (2.0, 1.0, True, "seed"),
         (2.0, 1.0, -1, "seed"),
+        # appended last: ids of list-valued rows carry their row index
+        (2.0, 1.0, 2**30 + 1, "n_draws"),
+        (2.0, 1.0, 10**14, "n_draws"),
     ])
     def test_validation_before_any_draw(self, monkeypatch, theta, theta_t,
                                         n_draws, name):
