@@ -13,11 +13,9 @@ from .bayes import (
     ChiSqTestSpec,
     ExpFamilyModel,
     EXPFAM_KINDS,
-    bf_ncchisq,
     dlogbf_dy,
     expfam_log_bf,
     log_bf_ncchisq,
-    log_bf_ncchisq_array,
 )
 from .contingency import (
     ContingencyTable,
@@ -48,7 +46,6 @@ from .solver import (
     CurvePoint,
     DEFAULT_CURVE_ALPHAS,
     UmpbtSolution,
-    expfam_boundary,
     gamma_vs_df_curve,
     match_gamma_to_alpha,
     rejection_boundary,

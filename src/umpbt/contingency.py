@@ -30,11 +30,6 @@ __all__ = [
     "independence_bf",
 ]
 
-# log_bf_ncchisq needs a positive statistic; a zero statistic is evaluated
-# at the y giving sqrt(theta* y) = 1e-12, i.e. on the small-argument Bessel
-# branch, which reproduces the analytic y -> 0 limit of the Bayes factor.
-_BESSEL_ARG_FLOOR = 1e-12
-
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -227,10 +222,9 @@ def independence_bf(table: ContingencyTable, alpha: float = 0.05) -> Independenc
     """
     statistic, df = pearson_statistic(table)
     solution = match_gamma_to_alpha(ChiSqTestSpec(df=float(df), alpha=alpha))
-    y_eval = statistic
-    if y_eval <= 0.0:
-        y_eval = _BESSEL_ARG_FLOOR**2 / solution.theta_star
-    log_bf = log_bf_ncchisq(y_eval, solution.theta_star, float(df))
+    # a zero statistic takes log g's limit at y = 0, -theta*/2
+    log_bf = (log_bf_ncchisq(statistic, solution.theta_star, float(df)) if statistic > 0.0
+              else -solution.theta_star / 2.0)
     expected = _expected_counts(table)
     return IndependenceResult(
         statistic=statistic,

@@ -86,17 +86,6 @@ def rejection_probability(theta: float, theta_t: float, gamma: float,
     return noncentral_chisq_sf(boundary, NoncentralChiSq(df, theta_t))
 
 
-def default_theta_grid(theta_star: float, points: int = 50) -> np.ndarray:
-    """Log-spaced alternatives spanning [theta*/100, 100 theta*]."""
-    return np.geomspace(theta_star / 100.0, theta_star * 100.0, points)
-
-
-def default_theta_t_grid(theta_star: float) -> np.ndarray:
-    """Data-generating noncentralities bracketing the interesting regimes."""
-    return np.array([0.0, theta_star / 2.0, theta_star, 2.0 * theta_star,
-                     5.0 * theta_star])
-
-
 def dominance_check(gamma: float, df: float, theta_grid=None,
                     theta_t_grid=None) -> DominanceReport:
     """Verify on finite grids that no alternative beats the derived one.
@@ -104,16 +93,19 @@ def dominance_check(gamma: float, df: float, theta_grid=None,
     Solves for theta*, evaluates H(theta; theta_t) over the grids, and
     reports the worst margin against H(theta*; theta_t).  The boundary of
     theta* runs through the same vectorized root-solve as the grid so a
-    grid containing theta* itself yields a margin of exactly zero.
+    grid containing theta* itself yields a margin of exactly zero.  The
+    default grids are 50 log-spaced alternatives over [theta*/100, 100 theta*]
+    and the noncentralities 0, theta*/2, theta*, 2 theta* and 5 theta*.
     """
     solution = solve_umpbt_chisq(ChiSqTestSpec(df=df, gamma=gamma))
     theta_star = solution.theta_star
 
     if theta_grid is None:
-        theta_grid = default_theta_grid(theta_star)
+        theta_grid = np.geomspace(theta_star / 100.0, theta_star * 100.0, 50)
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_t_grid is None:
-        theta_t_grid = default_theta_t_grid(theta_star)
+        theta_t_grid = [0.0, theta_star / 2.0, theta_star, 2.0 * theta_star,
+                        5.0 * theta_star]
     theta_t_grid = np.asarray(theta_t_grid, dtype=float)
     if theta_grid.size == 0 or theta_t_grid.size == 0:
         raise DomainError("dominance grids must be nonempty")

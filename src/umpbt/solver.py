@@ -55,7 +55,6 @@ __all__ = [
     "rejection_boundary_grid",
     "solve_umpbt_chisq",
     "match_gamma_to_alpha",
-    "expfam_boundary",
     "solve_umpbt_expfam",
     "gamma_vs_df_curve",
 ]
@@ -386,23 +385,6 @@ def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
         raise NoRootError(f"alpha={alpha}, df={df}: {exc}") from None
     return UmpbtSolution(theta_star=theta_star, boundary=y_alpha, gamma=math.exp(-neg_best),
                          direction=1, df=df)
-
-
-def expfam_boundary(theta: float, gamma: float, model: ExpFamilyModel) -> float:
-    """Root of g(y, theta) = gamma for a one-parameter exponential family.
-
-    y = [log gamma + n (A(theta) - A(theta0))] / [eta(theta) - eta(theta0)].
-    """
-    if not (gamma > 1) or not math.isfinite(gamma):
-        raise DomainError(f"evidence threshold must exceed 1, got {gamma}")
-    model.check_alternative(theta)
-    d_eta, d_a = model.differences_from_null(theta)
-    if d_eta == 0.0:
-        raise DomainError(
-            f"natural parameter takes the same value at theta={theta} and "
-            f"theta0={model.theta0}; the boundary is undefined"
-        )
-    return (math.log(gamma) + model.n * d_a) / d_eta
 
 
 def solve_umpbt_expfam(model: ExpFamilyModel, gamma: float) -> UmpbtSolution:

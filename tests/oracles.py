@@ -173,10 +173,10 @@ def binomial_theta_star_mp(theta0: float, trials: int, n: int, gamma: float,
         return float((lo + hi) / 2)
 
 
-def expfam_boundary_mp(theta: float, gamma: float, kind: str, theta0: float, n: int,
-                       nuisance: float) -> float:
-    """[log gamma + n (A(theta) - A(theta0))] / [eta(theta) - eta(theta0)] in
-    50-digit mpmath, with eta and A taken straight from their definitions."""
+def expfam_log_bf_mp(y: float, theta: float, kind: str, theta0: float, n: int,
+                     nuisance: float) -> float:
+    """y (eta(theta) - eta(theta0)) - n (A(theta) - A(theta0)) in 50-digit
+    mpmath, with eta and A taken straight from their definitions."""
     with mp.workdps(50):
         def eta_and_a(t):
             t = mp.mpf(t)
@@ -187,7 +187,7 @@ def expfam_boundary_mp(theta: float, gamma: float, kind: str, theta0: float, n: 
             return -1 / (2 * t), mp.log(t) / 2
 
         (e1, a1), (e0, a0) = eta_and_a(theta), eta_and_a(theta0)
-        return float((mp.log(mp.mpf(gamma)) + n * (a1 - a0)) / (e1 - e0))
+        return float(mp.mpf(y) * (e1 - e0) - n * (a1 - a0))
 
 
 def rejection_boundary_mp(theta: float, gamma: float, df: float, y0: float) -> float:

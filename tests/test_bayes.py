@@ -10,11 +10,10 @@ from umpbt import (
     ChiSqTestSpec,
     DomainError,
     ExpFamilyModel,
-    bf_ncchisq,
+    LogValue,
     dlogbf_dy,
     expfam_log_bf,
     log_bf_ncchisq,
-    log_bf_ncchisq_array,
 )
 
 
@@ -44,7 +43,7 @@ class TestNoncentralChiSqBayesFactor:
         ys = np.geomspace(0.01, 200.0, 60)
         for theta in (0.5, 3.0, 12.0):
             for df in (1.0, 2.0, 6.0, 11.5):
-                values = log_bf_ncchisq_array(ys, theta, df)
+                values = [log_bf_ncchisq(float(y), theta, df) for y in ys]
                 assert np.all(np.diff(values) > 0)
 
     def test_log_always_finite(self):
@@ -61,27 +60,21 @@ class TestNoncentralChiSqBayesFactor:
         # up to log g's absolute rounding
         theta = np.array([1e-300, 5e-324, 1e-10, 3.0])
         y = np.array([1e-30, 1e-3, 1e-320, 1e-320])
-        values = log_bf_ncchisq_array(y, theta, df)
+        values = [log_bf_ncchisq(float(yi), float(ti), df) for yi, ti in zip(y, theta)]
         np.testing.assert_allclose(values, -theta / 2.0, rtol=1e-15, atol=1e-11)
 
     def test_linear_wrapper_and_overflow(self):
-        assert bf_ncchisq(4.0, 1.0, 1.0) == pytest.approx(
+        assert LogValue(log_bf_ncchisq(4.0, 1.0, 1.0)).exp() == pytest.approx(
             math.exp(-0.5) * math.cosh(2.0), rel=1e-12
         )
         with pytest.raises(OverflowError):
-            bf_ncchisq(4000.0, 4000.0, 2.0)
+            LogValue(log_bf_ncchisq(4000.0, 4000.0, 2.0)).exp()
 
     def test_domain_errors(self):
         for args in [(-1.0, 1.0, 6.0), (0.0, 1.0, 6.0), (1.0, 0.0, 6.0),
                      (1.0, -2.0, 6.0), (1.0, 1.0, 0.0)]:
             with pytest.raises(DomainError):
                 log_bf_ncchisq(*args)
-
-    def test_array_matches_scalar(self):
-        ys = np.array([0.5, 3.0, 42.0])
-        values = log_bf_ncchisq_array(ys, 2.5, 7.0)
-        for y, v in zip(ys, values):
-            assert v == pytest.approx(log_bf_ncchisq(float(y), 2.5, 7.0), abs=1e-13)
 
 
 class TestBayesFactorDerivative:
@@ -121,6 +114,8 @@ class TestChiSqTestSpec:
             ChiSqTestSpec(df=6.0, alpha=1.0)
         with pytest.raises(DomainError):
             ChiSqTestSpec(df=0.0, gamma=3.0)
+        with pytest.raises(DomainError, match=r"df=.* must lie in \(0, 1e8\]"):
+            ChiSqTestSpec(df=1e8 * (1.0 + 2**-52), alpha=0.05)
         spec = ChiSqTestSpec(df=6.0, gamma=3.46)
         assert spec.alpha is None
 
@@ -180,6 +175,22 @@ class TestExpFamilyBayesFactor:
             direct = _loglik(model, xs, theta) - _loglik(model, xs, theta0)
             mine = expfam_log_bf(_sufficient(model, xs), theta, model)
             assert mine == pytest.approx(direct, abs=1e-10, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, theta0, theta, side, nuisance", [
+        ("normal-mean-known-variance", 3.0, 2.9999999999099485, "less", 1e-20),
+        ("binomial-proportion", 0.3, 0.3 + 1e-9, "greater", 2.0),
+        ("normal-variance-known-mean", 2.0, 2.0 * (1.0 - 1e-10), "less", 0.0),
+    ])
+    def test_free_of_cancellation_near_theta0(self, kind, theta0, theta, side, nuisance):
+        """theta within ~1e-10 relative of theta0: the differences of eta and
+        A are formed from theta - theta0, so the log Bayes factor keeps full
+        precision where subtracting their values would lose ~6 digits.  At
+        y = 0 it is -n (A(theta) - A(theta0)) alone."""
+        model = ExpFamilyModel(kind=kind, theta0=theta0, n=1, side=side, nuisance=nuisance)
+        for y in (0.0, 1.0):
+            expected = oracles.expfam_log_bf_mp(y, theta, kind, theta0, 1, nuisance)
+            assert expfam_log_bf(y, theta, model) == pytest.approx(expected, rel=1e-12,
+                                                                   abs=0)
 
     def test_side_violation_raises(self):
         model = ExpFamilyModel(kind="normal-mean-known-variance", theta0=0.0, n=4,

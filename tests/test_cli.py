@@ -103,6 +103,18 @@ class TestChisqCommand:
         assert code == 0 and err == ""
         assert json.loads(out)["gamma"] == pytest.approx(3.8678, rel=1e-4)
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["--df", "1e12", "--gamma", "3"], "1000000000000.0"),
+        (["--df", "1e20", "--alpha", "0.05"], "1e+20"),
+        (["--df", "1e160", "--gamma", "3"], "1e+160"),
+    ])
+    def test_df_beyond_the_bound_exits_one(self, argv, shown):
+        """Past df 1e8 log g's rounding reaches log gamma's scale: 1e12 gave
+        a nonsense theta*, and 1e20 and 1e160 failed inside the kernels."""
+        code, out, err = invoke(["chisq"] + argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: domain: degrees of freedom df={shown} must lie in (0, 1e8]\n"
+
     def test_large_df_alpha_mode(self):
         """df = 1e5 puts the Bessel order near 5e4, beyond the series' term
         budget; the uniform expansion carries the solve."""
@@ -148,6 +160,14 @@ class TestBfCommand:
         assert code == 1 and out == ""
         assert err == ("error: domain: linear value exp(2.70405e+150) "
                        "overflows double precision\n")
+
+    def test_overflowing_statistic_exits_one(self):
+        # a fresh process, where a leaked overflow warning would print
+        code, out, err = fresh_process(TestParserReuse.RUN, "bf", "--df", "6", "--stat",
+                                       "1e308", "--gamma", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: domain: statistic y=1e+308 times noncentrality theta=")
+        assert err.endswith(" overflows double precision\n") and err.count("\n") == 1
 
     def test_large_df_overflow_exits_one(self):
         """At df 60002 the Bessel order is 30000, past the series budget;

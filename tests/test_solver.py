@@ -16,7 +16,6 @@ from umpbt import (
     NoncentralChiSq,
     SolverError,
     chisq_quantile,
-    expfam_boundary,
     expfam_log_bf,
     gamma_vs_df_curve,
     log_bf_ncchisq,
@@ -450,65 +449,6 @@ class TestZRootPlacement:
                                               math.sqrt(sol.theta_star * sol.boundary))
         assert sol.theta_star == pytest.approx(exact, rel=1e-7, abs=0.0)
         assert sol.gamma > 1.0
-
-
-class TestExpFamilyBoundary:
-    def test_normal_mean_direct_value(self):
-        model = ExpFamilyModel(kind="normal-mean-known-variance", theta0=0.0, n=1,
-                               side="greater", nuisance=1.0)
-        assert expfam_boundary(2.0, math.exp(2.0), model) == pytest.approx(2.0,
-                                                                           abs=1e-12)
-
-    def test_small_threshold_small_theta_limit(self):
-        """As gamma -> 1+ and theta -> theta0, the boundary tends to
-        n A'(theta0) / eta'(theta0) (expected total sufficient statistic)."""
-        model = ExpFamilyModel(kind="binomial-proportion", theta0=0.4, n=6,
-                               side="greater", nuisance=2.0)
-        # A'/eta' = m theta at theta0, so the limit is n m theta0
-        limit = 6 * 2.0 * 0.4
-        value = expfam_boundary(0.4 + 1e-7, 1.0 + 1e-12, model)
-        assert value == pytest.approx(limit, rel=1e-5)
-
-    @pytest.mark.parametrize("kind, theta0, theta, side, nuisance", [
-        ("normal-mean-known-variance", 3.0, 2.9999999999099485, "less", 1e-20),
-        ("binomial-proportion", 0.3, 0.3 + 1e-9, "greater", 2.0),
-        ("normal-variance-known-mean", 2.0, 2.0 * (1.0 - 1e-10), "less", 0.0),
-    ])
-    def test_free_of_cancellation_near_theta0(self, kind, theta0, theta, side, nuisance):
-        """theta within ~1e-10 relative of theta0: the differences of eta and
-        A are formed from theta - theta0, so the boundary keeps full
-        precision where subtracting their values would lose ~6 digits."""
-        model = ExpFamilyModel(kind=kind, theta0=theta0, n=1, side=side, nuisance=nuisance)
-        expected = oracles.expfam_boundary_mp(theta, 1.5, kind, theta0, 1, nuisance)
-        assert expfam_boundary(theta, 1.5, model) == pytest.approx(expected, rel=1e-12,
-                                                                   abs=0)
-        if kind == "normal-mean-known-variance":
-            assert expected == pytest.approx(2.99999999991, rel=1e-12, abs=0)
-
-    def test_root_property_all_kinds(self):
-        models = [
-            ExpFamilyModel(kind="binomial-proportion", theta0=0.3, n=9,
-                           side="greater", nuisance=2.0),
-            ExpFamilyModel(kind="normal-mean-known-variance", theta0=-0.5, n=4,
-                           side="less", nuisance=2.5),
-            ExpFamilyModel(kind="normal-variance-known-mean", theta0=2.0, n=7,
-                           side="greater", nuisance=0.3),
-        ]
-        thetas = [0.6, -1.7, 5.0]
-        for model, theta in zip(models, thetas):
-            for gamma in (1.5, 3.0, 20.0):
-                y = expfam_boundary(theta, gamma, model)
-                assert abs(expfam_log_bf(y, theta, model) - math.log(gamma)) <= 1e-12
-
-    def test_errors(self):
-        model = ExpFamilyModel(kind="normal-mean-known-variance", theta0=0.0, n=2,
-                               side="greater", nuisance=1.0)
-        with pytest.raises(DomainError):
-            expfam_boundary(0.0, 3.0, model)    # theta equals the null
-        with pytest.raises(DomainError):
-            expfam_boundary(-1.0, 3.0, model)   # wrong side
-        with pytest.raises(DomainError):
-            expfam_boundary(1.0, 1.0, model)    # threshold not above 1
 
 
 class TestSolveExpFamily:
