@@ -34,6 +34,20 @@ _TINIEST = 5e-324
 _DF_MAX = 1e8
 
 
+def _check_df(df: float) -> None:
+    """The one df rule of every chi-squared entry point."""
+    if not (0 < df <= _DF_MAX):
+        raise DomainError(f"degrees of freedom df={df} must lie in (0, 1e8]")
+
+
+def _check_gamma(gamma: float) -> None:
+    """The one evidence-threshold rule.  g tends to e^(-theta/2) < 1 as y -> 0
+    and grows without bound, so only gamma > 1 gives every alternative an
+    upper rejection interval."""
+    if not (gamma > 1 and math.isfinite(gamma)):
+        raise DomainError(f"evidence threshold must exceed 1, got {gamma}")
+
+
 @dataclass(frozen=True)
 class ChiSqTestSpec:
     """Noncentral chi-squared test request.
@@ -48,12 +62,11 @@ class ChiSqTestSpec:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0 < self.df <= _DF_MAX):
-            raise DomainError(f"degrees of freedom df={self.df} must lie in (0, 1e8]")
+        _check_df(self.df)
         if (self.gamma is None) == (self.alpha is None):
             raise DomainError("exactly one of gamma and alpha must be set")
-        if self.gamma is not None and not (self.gamma > 1 and math.isfinite(self.gamma)):
-            raise DomainError(f"evidence threshold must exceed 1, got {self.gamma}")
+        if self.gamma is not None:
+            _check_gamma(self.gamma)
         if self.alpha is not None and not (0.0 < self.alpha < 1.0):
             raise DomainError(f"significance level must lie in (0, 1), got {self.alpha}")
 
@@ -85,8 +98,7 @@ def _log_bf_core(y: np.ndarray, theta: np.ndarray, df: float) -> np.ndarray:
 
 
 def _check_ncchisq_args(y: float, theta: float, df: float) -> None:
-    if not (df > 0):
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
+    _check_df(df)
     if not (theta > 0) or not math.isfinite(theta):
         raise DomainError(f"noncentrality must be positive, got {theta}")
     if not (y > 0) or not math.isfinite(y):

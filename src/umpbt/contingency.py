@@ -189,10 +189,7 @@ def _parse_count(token: str, where: str) -> int:
 
 def _expected_counts(table: ContingencyTable) -> np.ndarray:
     counts = table.counts.astype(float)
-    total = counts.sum()
-    if total <= 0:
-        raise DegenerateMarginError("table has no observations")
-    return np.outer(counts.sum(axis=1), counts.sum(axis=0)) / total
+    return np.outer(counts.sum(axis=1), counts.sum(axis=0)) / counts.sum()
 
 
 def pearson_statistic(table: ContingencyTable) -> tuple[float, int]:
@@ -202,8 +199,6 @@ def pearson_statistic(table: ContingencyTable) -> tuple[float, int]:
     product of the margins; no continuity correction.
     """
     expected = _expected_counts(table)
-    if np.any(expected == 0):
-        raise DegenerateMarginError("expected counts contain zeros")
     observed = table.counts.astype(float)
     statistic = float(((observed - expected) ** 2 / expected).sum())
     r, c = table.shape

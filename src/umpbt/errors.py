@@ -44,12 +44,7 @@ class SolverError(UmpbtError, RuntimeError):
 
 class NoRootError(SolverError):
     """A root-finding bracket could not be established, or a root in it did
-    not converge.
-
-    Raised in particular when the evidence threshold does not exceed 1, so
-    the Bayes factor never crosses it from below and the rejection region
-    is not an upper interval.
-    """
+    not converge."""
 
 
 class SeriesError(SolverError):

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import _TINIEST, ChiSqTestSpec, _log_bf_core
+from .bayes import _TINIEST, ChiSqTestSpec, _check_df, _check_gamma, _log_bf_core
 from .errors import DomainError
 from .solver import rejection_boundary, rejection_boundary_grid, solve_umpbt_chisq
-from .special import NoncentralChiSq, noncentral_chisq_sf, sample_noncentral_chisq
+from .special import (NoncentralChiSq, _check_draws, noncentral_chisq_sf,
+                      sample_noncentral_chisq)
 
 __all__ = [
     "PowerCurve",
@@ -31,9 +32,6 @@ __all__ = [
 
 # numerical slack allowed on H(theta) - H(theta*) before dominance fails
 DOMINANCE_MARGIN_TOL = 1e-10
-
-# most Monte Carlo draws per theta_t: an 8 GiB array of float64
-_MAX_DRAWS = 2**30
 
 
 @dataclass(frozen=True)
@@ -190,8 +188,8 @@ def mc_rejection_rate(theta, theta_t, gamma: float, df: float, n_draws: int,
     at actual draws, and no boundary solve.  One draw array is alive at a
     time, of at most 2**30 draws (8 GiB).
     """
-    if not (gamma > 1) or not math.isfinite(gamma):
-        raise DomainError(f"evidence threshold must exceed 1, got {gamma}")
+    _check_df(df)
+    _check_gamma(gamma)
     thetas, theta_ts = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                            np.asarray(theta_t, dtype=float))
     bad = thetas[~((thetas > 0) & np.isfinite(thetas))]
@@ -200,11 +198,7 @@ def mc_rejection_rate(theta, theta_t, gamma: float, df: float, n_draws: int,
     bad = theta_ts[~((theta_ts >= 0) & np.isfinite(theta_ts))]
     if bad.size:
         raise DomainError(f"theta_t must be finite and nonnegative, got {bad[0]}")
-    if (isinstance(n_draws, bool) or not hasattr(n_draws, "__index__")
-            or not 1 <= n_draws <= _MAX_DRAWS):
-        raise DomainError(f"n_draws must be an integer in [1, 2**30], got {n_draws!r}")
-    if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_draws(n_draws, seed)
     n_draws = operator.index(n_draws)
     log_gamma = math.log(gamma)
     distinct_ts, t_index = np.unique(theta_ts.ravel(), return_inverse=True)

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import ChiSqTestSpec, ExpFamilyModel, _bessel_ratio, _log_bf_core
+from .bayes import (ChiSqTestSpec, ExpFamilyModel, _bessel_ratio, _check_df, _check_gamma,
+                    _log_bf_core)
 from .errors import DomainError, NoRootError
 from .special import chisq_cdf, chisq_quantile
 
@@ -88,8 +89,7 @@ class UmpbtSolution:
     df: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.gamma > 1):
-            raise DomainError(f"evidence threshold must exceed 1, got {self.gamma}")
+        _check_gamma(self.gamma)
         if self.direction not in (-1, 1):
             raise DomainError(f"direction must be -1 or +1, got {self.direction}")
         if not math.isfinite(self.theta_star) or not math.isfinite(self.boundary):
@@ -106,8 +106,7 @@ class CurvePoint:
     theta_star: float
 
     def __post_init__(self) -> None:
-        if not (self.gamma > 1):
-            raise DomainError(f"evidence threshold must exceed 1, got {self.gamma}")
+        _check_gamma(self.gamma)
         if not (self.theta_star > 0):
             raise DomainError(f"theta_star must be positive, got {self.theta_star}")
 
@@ -131,8 +130,7 @@ def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
 
 def _check_boundary_args(theta, gamma: float, df: float) -> None:
     """Validate a scalar or an array of alternatives with gamma and df."""
-    if not (df > 0):
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
+    _check_df(df)
     theta = np.asarray(theta, dtype=float)
     # above 1e150 theta r(theta) ~ theta^2 / 4 nears overflow; the solve's
     # grid ends at 10 (df + 2 log gamma), a dominance grid at 100 theta*
@@ -140,16 +138,7 @@ def _check_boundary_args(theta, gamma: float, df: float) -> None:
     if bad.size:
         raise DomainError(f"noncentrality theta={float(bad[0])!r} must lie in "
                           f"(0, {_THETA_MAX:g}]")
-    if not (gamma > 0) or not math.isfinite(gamma):
-        raise DomainError(f"evidence threshold must be positive, got {gamma}")
-    if gamma <= 1.0:
-        # The Bayes factor tends to exp(-theta/2) < 1 as y -> 0 and grows
-        # without bound, so only thresholds above 1 guarantee an upper
-        # rejection interval for every alternative.
-        raise NoRootError(
-            f"threshold gamma={gamma} does not exceed 1; the rejection region "
-            "is not an upper interval"
-        )
+    _check_gamma(gamma)
     # 0F1(; b; x) <= e^(x / b) puts r(theta) above 2 df log gamma / theta;
     # past 1e300 the root's z^2 / theta nears overflow
     theta_min = 2.0 * df * math.log(gamma) / _BOUNDARY_MAX
@@ -399,8 +388,7 @@ def solve_umpbt_expfam(model: ExpFamilyModel, gamma: float) -> UmpbtSolution:
     does not exceed log gamma no alternative reaches gamma, and the binomial
     needs gamma < theta0^(-n m) above theta0 and (1 - theta0)^(-n m) below.
     """
-    if not (gamma > 1) or not math.isfinite(gamma):
-        raise DomainError(f"evidence threshold must exceed 1, got {gamma}")
+    _check_gamma(gamma)
     log_gamma = math.log(gamma)
     v = model.direction_sign()
     edge = model.parameter_interval()[1 if v > 0 else 0]

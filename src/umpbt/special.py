@@ -44,6 +44,8 @@ _SERIES_TERM_CAP = 1000
 _SERIES_BLOCK = 1024
 _MIXTURE_TAIL = 1e-17
 _MAX_NONCENTRALITY = 1e8
+# most draws per call: an 8 GiB array of float64
+_MAX_DRAWS = 2**30
 # stirlerr(k) = log k! - (k + 1/2) log k + k - log(2 pi) / 2 for k = 1..35,
 # where lgamma still resolves it (index 0 is unused)
 _STIRLERR_HEAD = np.array([0.0] + [
@@ -441,6 +443,14 @@ def noncentral_chisq_sf(y: float, dist: NoncentralChiSq) -> float:
     return min(1.0, math.exp(peak) * float(terms.sum()))
 
 
+def _check_draws(n: int, seed: int) -> None:
+    """The one rule for a draw count and its seed, checked before any draw."""
+    if isinstance(n, bool) or not hasattr(n, "__index__") or not 1 <= n <= _MAX_DRAWS:
+        raise DomainError(f"n_draws must be an integer in [1, 2**30], got {n!r}")
+    if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def sample_noncentral_chisq(dist: NoncentralChiSq, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` variates, deterministically for a given ``seed``.
 
@@ -450,8 +460,5 @@ def sample_noncentral_chisq(dist: NoncentralChiSq, n: int, seed: int) -> np.ndar
     K ~ Poisson(nc / 2).  At noncentrality 0 each draw is 2 Gamma(df / 2),
     the bits of ``default_rng(seed).gamma(df / 2, 2.0, n)``.
     """
-    if n < 1:
-        raise DomainError(f"sample size must be at least 1, got {n}")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+    _check_draws(n, seed)
     return np.random.default_rng(seed).noncentral_chisquare(dist.df, dist.noncentrality, n)

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bayes import _check_gamma
 from .errors import DomainError
 from .solver import _golden_min
+from .special import _check_draws
 
 __all__ = [
     "TTestSetting",
@@ -65,8 +67,7 @@ class TTestSetting:
             raise DomainError(f"null mean must be finite, got {self.theta0}")
         if self.alpha_prior < 0 or self.beta_prior < 0:
             raise DomainError("inverse-gamma prior parameters must be nonnegative")
-        if not (self.gamma > 1 and math.isfinite(self.gamma)):
-            raise DomainError(f"evidence threshold must exceed 1, got {self.gamma}")
+        _check_gamma(self.gamma)
         if not (0 < self.sigma_true < math.inf):
             raise DomainError(f"sigma_true must be positive, got {self.sigma_true}")
 
@@ -152,18 +153,12 @@ def t_region(theta: float, u_stat: float, setting: TTestSetting) -> QuadraticReg
     return QuadraticRegion(lower=center - half, upper=center + half, empty=False)
 
 
-def _seed_for(seed: int, theta_t: float) -> list[int]:
-    """Derive a per-theta_t stream: equal theta_t values share datasets."""
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
-    bits = int(np.array(float(theta_t), dtype=np.float64).view(np.uint64))
-    return [int(seed), bits]
-
-
 def _dataset_stats(theta_t: float, setting: TTestSetting, n_draws: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sufficient statistics (xbar, U) of ``n_draws`` simulated datasets."""
-    rng = np.random.default_rng(_seed_for(seed, theta_t))
+    """Sufficient statistics (xbar, U) of ``n_draws`` simulated datasets,
+    from a stream keyed on (seed, theta_t): equal theta_t values share them."""
+    bits = int(np.array(float(theta_t), dtype=np.float64).view(np.uint64))
+    rng = np.random.default_rng([int(seed), bits])
     ybar = np.empty(n_draws)
     u_stat = np.empty(n_draws)
     for start in range(0, n_draws, _STATS_CHUNK):
@@ -193,8 +188,7 @@ def t_rejection_prob(theta: float, theta_t: float, setting: TTestSetting,
     the seed; the same seed and theta_t reuse the same datasets across
     different ``theta`` values.
     """
-    if n_draws < 1:
-        raise DomainError(f"draw count must be at least 1, got {n_draws}")
+    _check_draws(n_draws, seed)
     ybar, u_stat = _dataset_stats(theta_t, setting, n_draws, seed)
     return _rejection_rate(ybar, u_stat, theta, setting)
 
@@ -249,8 +243,7 @@ def nonexistence_demo(setting: TTestSetting, theta_t_list, n_draws: int,
     theta_t_list = [float(t) for t in theta_t_list]
     if len(theta_t_list) < 2:
         raise DomainError("at least two data-generating means are required")
-    if n_draws < 1:
-        raise DomainError(f"draw count must be at least 1, got {n_draws}")
+    _check_draws(n_draws, seed)
 
     rows = []
     refine_tol = 0.0

@@ -422,6 +422,14 @@ class TestTtestDemoCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: domain:")
 
+    def test_draw_count_beyond_the_ceiling_exits_one(self):
+        # checked before the datasets' arrays, which would take 800 TB
+        code, out, err = invoke(["ttest-demo", "--n", "10", "--gamma", "3",
+                                 "--theta-t", "0,1", "--draws", "100000000000000"])
+        assert (code, out) == (1, "")
+        assert err == ("error: domain: n_draws must be an integer in [1, 2**30], "
+                       "got 100000000000000\n")
+
 
 class TestOutputContract:
     def test_byte_identical_reruns(self):

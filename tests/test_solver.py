@@ -153,7 +153,7 @@ class TestRejectionBoundary:
         for empty in (np.array([]), np.empty((0, 3))):
             out = rejection_boundary_grid(empty, 3.0, 6.0)
             assert out.shape == empty.shape and out.dtype == float
-        with pytest.raises(NoRootError):
+        with pytest.raises(DomainError):
             rejection_boundary_grid(np.array([]), 1.0, 6.0)
         with pytest.raises(DomainError):
             rejection_boundary_grid(np.array([]), 3.0, 0.0)
@@ -173,9 +173,10 @@ class TestRejectionBoundary:
             rejection_boundary_grid(np.array([1.0, 2.0]), 3.0, 6.0)
 
     def test_threshold_at_or_below_one_has_no_upper_region(self):
-        with pytest.raises(NoRootError):
+        # outside the domain: a domain error (exit 1), not a solver failure
+        with pytest.raises(DomainError):
             rejection_boundary(2.0, 1.0, 6.0)
-        with pytest.raises(NoRootError):
+        with pytest.raises(DomainError):
             rejection_boundary(2.0, 0.7, 6.0)
 
     def test_domain_errors(self):
