@@ -4,6 +4,7 @@ All Bayes factors are exposed on the log scale; ``LogValue.exp`` gives a
 linear value with overflow detection.  The noncentral chi-squared Bayes
 factor has a removable singularity at noncentrality 0 (its limit is 1), so
 zero is excluded from the domain and callers use the limit value directly.
+A zero statistic is in the domain and returns log g's limit, -theta/2.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def _check_ncchisq_args(y: float, theta: float, df: float) -> None:
     _check_df(df)
     if not (theta > 0) or not math.isfinite(theta):
         raise DomainError(f"noncentrality must be positive, got {theta}")
-    if not (y > 0) or not math.isfinite(y):
-        raise DomainError(f"statistic must be positive, got {y}")
+    if not (y >= 0) or not math.isfinite(y):
+        raise DomainError(f"statistic must be nonnegative, got {y}")
     if not math.isfinite(theta * y):
         raise DomainError(f"statistic y={y} times noncentrality theta={theta} "
                           f"overflows double precision")
@@ -111,10 +112,12 @@ def _check_ncchisq_args(y: float, theta: float, df: float) -> None:
 def log_bf_ncchisq(y: float, theta: float, df: float) -> float:
     """Log Bayes factor for H1: noncentrality = theta against H0: 0.
 
-    Strictly increasing in ``y`` and tends to 1 in linear scale as
-    ``theta * y`` tends to 0.
+    Strictly increasing in ``y``; a zero statistic takes the limit at
+    y = 0, exactly -theta/2, which the Bessel terms would only round to.
     """
     _check_ncchisq_args(y, theta, df)
+    if y == 0.0:
+        return -theta / 2.0
     return float(_log_bf_core(np.array([float(y)]), np.array([float(theta)]), df)[0])
 
 
@@ -122,10 +125,12 @@ def dlogbf_dy(y: float, theta: float, df: float) -> float:
     """Derivative of the log Bayes factor with respect to the statistic.
 
     Equals 0.5 sqrt(theta/y) I_{df/2}(z) / I_{df/2-1}(z) with
-    z = sqrt(theta y); strictly positive on the whole domain, which makes
-    the rejection region an upper interval for any threshold above 1.
+    z = sqrt(theta y), and theta/(2 df) at y = 0; strictly positive, which
+    makes the rejection region an upper interval for any threshold above 1.
     """
     _check_ncchisq_args(y, theta, df)
+    if y == 0.0:
+        return theta / (2.0 * df)
     z = np.array([math.sqrt(theta * y)])
     return 0.5 * math.sqrt(theta / y) * float(_bessel_ratio(z, df)[0])
 

@@ -109,8 +109,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _solution_payload(solution: UmpbtSolution) -> dict:
+def _solution_payload(solution: UmpbtSolution, alpha=None) -> dict:
     payload = {}
+    if alpha is not None:
+        payload["alpha"] = _round10(alpha)
     if solution.df is not None:
         payload["df"] = _round10(solution.df)
     payload.update(
@@ -132,21 +134,14 @@ def _solve_spec(df: float, gamma, alpha) -> UmpbtSolution:
 
 
 def _cmd_chisq(args) -> dict:
-    solution = _solve_spec(args.df, args.gamma, args.alpha)
-    payload = {}
-    if args.alpha is not None:
-        payload["alpha"] = _round10(args.alpha)
-    payload.update(_solution_payload(solution))
-    return payload
+    return _solution_payload(_solve_spec(args.df, args.gamma, args.alpha), args.alpha)
 
 
 def _cmd_bf(args) -> dict:
     solution = _solve_spec(args.df, args.gamma, args.alpha)
     log_bf = log_bf_ncchisq(args.stat, solution.theta_star, args.df)
     payload = {"stat": _round10(args.stat)}
-    if args.alpha is not None:
-        payload["alpha"] = _round10(args.alpha)
-    payload.update(_solution_payload(solution))
+    payload.update(_solution_payload(solution, args.alpha))
     payload["log_bf"] = _round10(log_bf)
     payload["bf"] = _round10(LogValue(log_bf).exp())
     return payload
@@ -284,14 +279,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("chisq", help="derive the chi-squared test alternative")
     p.add_argument("--df", type=float, required=True)
     _add_gamma_alpha(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_chisq)
 
     p = sub.add_parser("bf", help="Bayes factor of an observed statistic")
     p.add_argument("--df", type=float, required=True)
     p.add_argument("--stat", type=float, required=True)
     _add_gamma_alpha(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_bf)
 
     p = sub.add_parser("contingency", help="independence test on a CSV table")
@@ -301,7 +294,6 @@ def build_parser() -> _Parser:
                    help="first row holds column labels")
     p.add_argument("--row-labels", action="store_true",
                    help="first column holds row labels")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_contingency)
 
     p = sub.add_parser("expfam", help="exponential-family alternative")
@@ -311,7 +303,6 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--side", required=True, choices=("greater", "less"))
     p.add_argument("--nuisance", type=float, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_expfam)
 
     p = sub.add_parser("power", help="power grid and dominance verdict")
@@ -322,14 +313,12 @@ def build_parser() -> _Parser:
     p.add_argument("--mc", type=int, default=None,
                    help="add Monte Carlo column with this many draws")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_power)
 
     p = sub.add_parser("curve", help="threshold-versus-df curve as CSV")
     p.add_argument("--alphas", default=",".join(str(a) for a in DEFAULT_CURVE_ALPHAS))
     p.add_argument("--df-max", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_curve)
 
     p = sub.add_parser("ttest-demo", help="t-test non-existence demonstration")
@@ -339,9 +328,11 @@ def build_parser() -> _Parser:
                    help="comma-separated data-generating means")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--draws", type=int, default=100_000)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_ttest_demo)
 
+    # added last, so it closes every usage line
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

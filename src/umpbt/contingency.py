@@ -11,14 +11,14 @@ attempted.
 
 from __future__ import annotations
 
+import csv
 import io
-from csv import reader as _csv_reader
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bayes import ChiSqTestSpec, log_bf_ncchisq
-from .errors import DegenerateMarginError, DomainError, ParseError, ValidationError
+from .errors import DegenerateMarginError, ParseError, ValidationError
 from .solver import match_gamma_to_alpha
 from .special import LogValue
 
@@ -124,7 +124,12 @@ def parse_table(source, has_header: bool = False,
         raise ParseError(f"byte offset {exc.start}: 0x{exc.object[exc.start]:02x} "
                          f"is not valid {exc.encoding.upper()}") from None
 
-    rows = [row for row in _csv_reader(io.StringIO(text))]
+    rows = []
+    try:  # newline="" is the csv module's mode: a CR, LF or CRLF ends a row
+        for row in csv.reader(io.StringIO(text, newline="")):
+            rows.append(row)
+    except csv.Error as exc:
+        raise ParseError(f"row {len(rows) + 1}: {exc}") from None
     # drop trailing blank lines
     while rows and all(cell.strip() == "" for cell in rows[-1]):
         rows.pop()
@@ -217,9 +222,7 @@ def independence_bf(table: ContingencyTable, alpha: float = 0.05) -> Independenc
     """
     statistic, df = pearson_statistic(table)
     solution = match_gamma_to_alpha(ChiSqTestSpec(df=float(df), alpha=alpha))
-    # a zero statistic takes log g's limit at y = 0, -theta*/2
-    log_bf = (log_bf_ncchisq(statistic, solution.theta_star, float(df)) if statistic > 0.0
-              else -solution.theta_star / 2.0)
+    log_bf = log_bf_ncchisq(statistic, solution.theta_star, float(df))
     expected = _expected_counts(table)
     return IndependenceResult(
         statistic=statistic,

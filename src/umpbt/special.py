@@ -36,10 +36,12 @@ __all__ = [
 # exp() overflows double precision just above this
 _MAX_EXP = 709.782712893384
 
-# Power series is used up to this argument, the uniform asymptotic beyond
-# (and at orders whose series would need more than _SERIES_TERM_CAP terms).
+# The one branch rule: the power series for 0 < z <= 700 at orders up to
+# _SERIES_ORDER_MAX, the largest whose series at z = 700 fits
+# _SERIES_TERM_CAP terms; the uniform expansion for every other z > 0.
 _SERIES_Z_MAX = 700.0
 _SERIES_TERM_CAP = 1000
+_SERIES_ORDER_MAX = 11607.429237724386
 # Rows per block of the series workspace (about 2 MB at 250 terms).
 _SERIES_BLOCK = 1024
 _MIXTURE_TAIL = 1e-17
@@ -120,7 +122,8 @@ def _series_table(order: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _log_bessel_series(order: float, z: np.ndarray) -> np.ndarray:
-    """log I_order(z) by the ascending power series, for a 1-D z in (0, 700].
+    """log I_order(z) by the ascending power series, for a 1-D z in (0, 700]
+    and an order up to ``_SERIES_ORDER_MAX``, where the row fits the table.
 
     The series sum_j (z/2)^(2j+order) / (Gamma(order+j+1) j!) is evaluated
     entirely in log scale: each term's log is (2j+order) log(z/2) less the
@@ -151,11 +154,6 @@ def _log_bessel_series(order: float, z: np.ndarray) -> np.ndarray:
     lane = z.size == 1
     z_max = float(z[0]) if lane else float(z.max())
     n_terms = _series_terms_needed(order, z_max)
-    if n_terms > _SERIES_TERM_CAP:
-        raise SeriesError(
-            f"Bessel series needs {n_terms} terms for z={z_max:.3g} "
-            f"(budget {_SERIES_TERM_CAP})"
-        )
     powers, log_gamma_order, log_factorial = [
         column[:n_terms] for column in _series_table(order)
     ]
@@ -196,10 +194,10 @@ def _log_bessel_series(order: float, z: np.ndarray) -> np.ndarray:
 def _log_bessel_uniform(order: float, z: np.ndarray) -> np.ndarray:
     """log I_order(z) by the uniform large-parameter expansion.
 
-    Used for z > 700 and for orders above ~1.16e4.  Valid uniformly in the
-    order because the expansion parameter is 1/sqrt(order^2 + z^2) <= 1/700
-    there; four correction polynomials leave a truncation error below
-    1e-13 on the log value.  Negative orders in
+    Used for z > 700 and for orders above ``_SERIES_ORDER_MAX``.  Valid
+    uniformly in the order because the expansion parameter is
+    1/sqrt(order^2 + z^2) < 1/700 there; four correction polynomials
+    leave a truncation error below 1e-13 on the log value.  Negative orders in
     (-1, 0) are mapped to |order|: the two functions differ by a
     K-Bessel term of relative size ~exp(-2z), invisible at z > 700.
     """
@@ -226,20 +224,19 @@ def _log_bessel_uniform(order: float, z: np.ndarray) -> np.ndarray:
 def log_bessel_i_array(order: float, z: np.ndarray) -> np.ndarray:
     """Vectorized log of the modified Bessel function of the first kind.
 
-    Requires ``order > -1`` and elementwise ``z >= 0``.  ``z = 0`` maps to
-    the series limit: 0 for order 0, ``-inf`` for positive order, ``+inf``
-    for order in (-1, 0).
+    Requires ``order > -1`` and elementwise ``z >= 0``; the branch rule is
+    stated at ``_SERIES_ORDER_MAX``.  ``z = 0`` maps to the series limit:
+    0 for order 0, ``-inf`` for positive order, ``+inf`` for order in (-1, 0).
     """
     if not (order > -1.0):
         raise DomainError(f"Bessel order must exceed -1, got {order}")
     z = np.asarray(z, dtype=float)
+    series_fits = order <= _SERIES_ORDER_MAX
     if z.size:
         lo, hi = z.min(), z.max()
         if not (lo >= 0.0 and math.isfinite(hi)):
             raise DomainError("Bessel argument must be finite and nonnegative")
-        if lo > 0.0 and hi <= _SERIES_Z_MAX and (
-            _series_terms_needed(order, hi) <= _SERIES_TERM_CAP
-        ):
+        if series_fits and lo > 0.0 and hi <= _SERIES_Z_MAX:
             # every element takes the series, which the masks below would
             # hand the same values in the same order
             return _log_bessel_series(order, z.ravel()).reshape(z.shape)
@@ -253,15 +250,7 @@ def log_bessel_i_array(order: float, z: np.ndarray) -> np.ndarray:
             out[zero] = -np.inf
         else:
             out[zero] = np.inf
-    small = (~zero) & (z <= _SERIES_Z_MAX)
-    if _series_terms_needed(order, _SERIES_Z_MAX) > _SERIES_TERM_CAP:
-        # Orders above ~1.16e4: the series outgrows its budget, but there
-        # hypot(order, z) > 1e4 and the uniform expansion is exact in
-        # double precision.  z is clamped at 700, past which the uniform
-        # expansion runs anyway, so the term count fits a C long.
-        capped = np.minimum(z, _SERIES_Z_MAX)
-        needed = np.vectorize(_series_terms_needed, otypes=[int])(order, capped)
-        small &= needed <= _SERIES_TERM_CAP
+    small = (~zero) & (z <= _SERIES_Z_MAX) & series_fits
     if small.any():
         out[small] = _log_bessel_series(order, z[small])
     large = ~(zero | small)

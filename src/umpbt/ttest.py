@@ -44,6 +44,14 @@ _GRID_POINTS = 240
 _GRID_OFFSETS = np.linspace(0.02, 1.6, _GRID_POINTS)
 
 
+def _check_mean(value: float, name: str) -> None:
+    """The one rule for the t-test's means: finite, magnitude at most 1e100.
+    The grid then stays within ~4.2e100, and n (ybar - theta)^2 within
+    double range for any n that fits in memory."""
+    if not abs(value) <= 1e100:
+        raise DomainError(f"{name}={value} must lie in [-1e100, 1e100]")
+
+
 @dataclass(frozen=True)
 class TTestSetting:
     """Configuration of the t-test demonstration.
@@ -63,8 +71,7 @@ class TTestSetting:
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 2:
             raise DomainError(f"sample size must be an integer >= 2, got {self.n}")
-        if not math.isfinite(self.theta0):
-            raise DomainError(f"null mean must be finite, got {self.theta0}")
+        _check_mean(self.theta0, "null mean theta0")
         if self.alpha_prior < 0 or self.beta_prior < 0:
             raise DomainError("inverse-gamma prior parameters must be nonnegative")
         _check_gamma(self.gamma)
@@ -188,6 +195,8 @@ def t_rejection_prob(theta: float, theta_t: float, setting: TTestSetting,
     the seed; the same seed and theta_t reuse the same datasets across
     different ``theta`` values.
     """
+    _check_mean(theta, "alternative mean theta")
+    _check_mean(theta_t, "data-generating mean theta_t")
     _check_draws(n_draws, seed)
     ybar, u_stat = _dataset_stats(theta_t, setting, n_draws, seed)
     return _rejection_rate(ybar, u_stat, theta, setting)
@@ -243,6 +252,8 @@ def nonexistence_demo(setting: TTestSetting, theta_t_list, n_draws: int,
     theta_t_list = [float(t) for t in theta_t_list]
     if len(theta_t_list) < 2:
         raise DomainError("at least two data-generating means are required")
+    for theta_t in theta_t_list:
+        _check_mean(theta_t, "data-generating mean theta_t")
     _check_draws(n_draws, seed)
 
     rows = []

@@ -71,10 +71,25 @@ class TestNoncentralChiSqBayesFactor:
             LogValue(log_bf_ncchisq(4000.0, 4000.0, 2.0)).exp()
 
     def test_domain_errors(self):
-        for args in [(-1.0, 1.0, 6.0), (0.0, 1.0, 6.0), (1.0, 0.0, 6.0),
+        for args in [(-1.0, 1.0, 6.0), (1.0, 0.0, 6.0),
                      (1.0, -2.0, 6.0), (1.0, 1.0, 0.0)]:
             with pytest.raises(DomainError):
                 log_bf_ncchisq(*args)
+        # a zero statistic is in the domain: log g's limit at y = 0
+        assert log_bf_ncchisq(0.0, 1.0, 6.0) == -0.5
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 6.0, 30.0, 1000.0, 1e5])
+    def test_zero_statistic_takes_the_limit(self, df):
+        """At y = 0 the log Bayes factor is exactly -theta/2 and its slope
+        exactly theta/(2 df); the Bessel terms alone round away from both,
+        and the values next to zero approach them."""
+        for theta in (0.1, 3.0, 700.0):
+            assert log_bf_ncchisq(0.0, theta, df) == -theta / 2.0
+            assert dlogbf_dy(0.0, theta, df) == theta / (2.0 * df)
+            assert log_bf_ncchisq(1e-12, theta, df) == pytest.approx(-theta / 2.0,
+                                                                     rel=1e-9)
+            assert dlogbf_dy(1e-12, theta, df) == pytest.approx(theta / (2.0 * df),
+                                                                rel=1e-6)
 
 
 class TestBayesFactorDerivative:

@@ -140,9 +140,21 @@ class TestBfCommand:
             math.log(float(record["bf"])), abs=1e-6)
 
     def test_nonpositive_statistic_is_domain_error(self):
-        code, _, err = invoke(["bf", "--df", "6", "--stat", "0", "--gamma", "3"])
+        code, _, err = invoke(["bf", "--df", "6", "--stat", "-1", "--gamma", "3"])
         assert code == 1
-        assert err.startswith("error: domain:")
+        assert err == "error: domain: statistic must be nonnegative, got -1.0\n"
+
+    @pytest.mark.parametrize("mode", (["--gamma", "3"], ["--alpha", "0.05"]))
+    def test_zero_statistic_is_minus_half_theta_star(self, mode):
+        """A zero statistic takes log g's limit, -theta*/2, as a zero Pearson
+        statistic does in ``contingency``."""
+        code, out, err = invoke(["bf", "--df", "6", "--stat", "0", "--json"] + mode)
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        solution = cli._solve_spec(6.0, *((3.0, None) if mode[0] == "--gamma"
+                                          else (None, 0.05)))
+        assert record["log_bf"] == float(f"{-solution.theta_star / 2.0:.10g}")
+        assert record["bf"] == float(f"{math.exp(-solution.theta_star / 2.0):.10g}")
 
     def test_gamma_mode(self):
         code, out, _ = invoke(["bf", "--df", "1", "--stat", "3.8415",
@@ -203,6 +215,22 @@ class TestContingencyCommand:
         assert code == 1
         assert err.startswith("error: parse:")
         assert "row 1, column 2" in err
+
+    @pytest.mark.parametrize("fmt", ([], ["--json"]))
+    def test_carriage_return_file_matches_line_feed_file(self, tmp_path, fmt):
+        cr = tmp_path / "white-cr.csv"
+        cr.write_bytes(Path(WHITE_CSV).read_bytes().replace(b"\n", b"\r"))
+        flags = ["--header", "--row-labels"] + fmt
+        assert invoke(["contingency", str(cr)] + flags) == invoke(
+            ["contingency", WHITE_CSV] + flags)
+
+    def test_oversized_cell_maps_to_parse_error(self, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_bytes(b"1,2\n3," + b"9" * 200_000 + b"\n")
+        code, out, err = invoke(["contingency", str(big)])
+        assert (code, out) == (1, "")
+        assert err == ("error: parse: row 2: field larger than field limit "
+                       "(131072)\n")
 
     def test_invalid_utf8_maps_to_parse_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -421,6 +449,16 @@ class TestTtestDemoCommand:
                                  "--theta-t", "2,4", "--seed", "-1", "--draws", "100"])
         assert code == 1 and out == ""
         assert err.startswith("error: domain:")
+
+    @pytest.mark.parametrize("means, shown", [("0,nan", "nan"), ("0,1e308", "1e+308")])
+    def test_mean_outside_the_domain_exits_one(self, means, shown):
+        """Checked before any draw, so no overflowed sum or warning escapes
+        (tier-1 turns a RuntimeWarning into an error)."""
+        code, out, err = invoke(["ttest-demo", "--n", "10", "--gamma", "3",
+                                 "--theta-t", means, "--draws", "100"])
+        assert (code, out) == (1, "")
+        assert err == (f"error: domain: data-generating mean theta_t={shown} "
+                       "must lie in [-1e100, 1e100]\n")
 
     def test_draw_count_beyond_the_ceiling_exits_one(self):
         # checked before the datasets' arrays, which would take 800 TB

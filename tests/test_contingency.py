@@ -7,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umpbt import (
     ChiSqTestSpec,
     ContingencyTable,
     DegenerateMarginError,
     ParseError,
+    UmpbtError,
     ValidationError,
     chisq_quantile,
     independence_bf,
@@ -114,6 +117,35 @@ class TestParseTable:
         stream = io.TextIOWrapper(io.BytesIO(b"1,\xff\n3,4\n"), encoding="utf-8")
         with pytest.raises(ParseError, match=r"byte offset 2: 0xff is not valid UTF-8"):
             parse_table(stream)
+
+    def test_carriage_return_line_ends(self):
+        """CR-only line ends split rows as LF and CRLF do."""
+        data = WHITE_CSV.read_bytes()
+        assert b"\r" not in data
+        for ends in (b"\r", b"\r\n"):
+            table = parse_table(data.replace(b"\n", ends), has_header=True,
+                                has_row_labels=True)
+            np.testing.assert_array_equal(table.counts, white_table().counts)
+            assert table.row_labels == white_table().row_labels
+            assert table.col_labels == white_table().col_labels
+        np.testing.assert_array_equal(parse_table(b"1,2\r3,4\n").counts, [[1, 2], [3, 4]])
+
+    def test_csv_errors_name_their_row(self):
+        with pytest.raises(ParseError, match=r"^row 2: field larger than field limit"):
+            parse_table(b"1,2\n3," + b"9" * 200_000 + b"\n")
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(source=st.one_of(
+               st.binary(max_size=200),
+               st.text(alphabet='0123456789,-.e"x \r\n\x00', max_size=200).map(str.encode)),
+           has_header=st.booleans(), has_row_labels=st.booleans())
+    def test_any_bytes_give_a_table_or_a_package_error(self, source, has_header,
+                                                        has_row_labels):
+        try:
+            table = parse_table(source, has_header=has_header, has_row_labels=has_row_labels)
+        except UmpbtError:
+            return
+        assert isinstance(table, ContingencyTable)
 
 
 class TestPearsonStatistic:

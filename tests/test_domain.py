@@ -2,7 +2,8 @@
 
 ``bayes`` owns the df rule, (0, 1e8], and the evidence-threshold rule,
 gamma > 1 and finite; ``special`` owns the draw count, an integer in
-[1, 2**30], and the seed, a nonnegative integer.  Every entry point that
+[1, 2**30], and the seed, a nonnegative integer; ``ttest`` owns its means,
+finite with magnitude at most 1e100.  Every entry point that
 takes one of these inputs calls its owner, so an input outside the domain
 fails as the same ``DomainError`` everywhere (exit 1 at the command line),
 before any root, kernel or draw runs.
@@ -116,3 +117,27 @@ def test_seed_outside_the_domain(monkeypatch, entry, seed):
     _no_draws(monkeypatch)
     with pytest.raises(DomainError, match=r"^seed must be a nonnegative integer"):
         DRAW_ENTRIES[entry](100, seed)
+
+
+MEAN_ENTRIES = {
+    "TTestSetting": lambda m: TTestSetting(n=10, theta0=m),
+    "t_rejection_prob(theta)": lambda m: t_rejection_prob(m, 0.0, _SETTING, 100, 1),
+    "t_rejection_prob(theta_t)": lambda m: t_rejection_prob(1.0, m, _SETTING, 100, 1),
+    "nonexistence_demo": lambda m: nonexistence_demo(_SETTING, [0.0, m], 100, 1),
+}
+
+
+@pytest.mark.parametrize("entry", MEAN_ENTRIES)
+@pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf, 1e308,
+                                  -math.nextafter(1e100, math.inf)])
+def test_mean_outside_the_domain(monkeypatch, entry, mean):
+    # past 1e100 the datasets' sums or n (ybar - theta)^2 can leave double range
+    _no_draws(monkeypatch)
+    with pytest.raises(DomainError, match=r" mean theta\w*=.* must lie in \[-1e100, 1e100\]$"):
+        MEAN_ENTRIES[entry](mean)
+
+
+@pytest.mark.parametrize("entry", MEAN_ENTRIES)
+@pytest.mark.parametrize("mean", [1e100, -1e100])
+def test_mean_at_the_bound_is_accepted(entry, mean):
+    MEAN_ENTRIES[entry](mean)

@@ -118,15 +118,36 @@ class TestLogBessel:
         assert abs(mine - oracle) <= 1e-13 * abs(oracle)
 
     def test_series_budget_split_within_one_array(self):
-        """At order 11700 the series fits z = 3 and z = 350 but not z = 700:
-        one array mixes both branches, and each element equals its scalar
-        value and the extended-precision series."""
+        """Order 11700 lies above ``_SERIES_ORDER_MAX``, so the uniform
+        expansion runs throughout, also at z = 3 and z = 350, whose series
+        would fit the term budget: each element equals its scalar value and
+        the extended-precision series."""
         z = np.array([3.0, 350.0, 700.0])
         vec = log_bessel_i_array(11700.0, z)
         for zi, vi in zip(z, vec):
             assert vi == log_bessel_i(11700.0, zi).log_magnitude
             oracle = oracles.log_bessel_series_mp(11700.0, zi, terms=200)
             assert abs(vi - oracle) <= 1e-13 * abs(oracle)
+
+    def test_routing_rule_at_the_order_bound(self):
+        """``_SERIES_ORDER_MAX`` is the largest order whose series at z = 700
+        fits the term budget.  At it every z in (0, 700] takes the series,
+        and at the next float above it the uniform expansion, bit for bit,
+        as one array and value by value."""
+        from umpbt.special import (_SERIES_ORDER_MAX, _SERIES_TERM_CAP, _log_bessel_series,
+                                   _log_bessel_uniform, _series_terms_needed)
+
+        above = math.nextafter(_SERIES_ORDER_MAX, math.inf)
+        assert (_series_terms_needed(_SERIES_ORDER_MAX, 700.0) <= _SERIES_TERM_CAP
+                < _series_terms_needed(above, 700.0))
+        z = np.geomspace(1e-3, 700.0, 50)
+        for order, branch in ((_SERIES_ORDER_MAX, _log_bessel_series),
+                              (above, _log_bessel_uniform)):
+            expected = branch(order, z).view(np.int64)
+            assert np.array_equal(log_bessel_i_array(order, z).view(np.int64), expected)
+            one_by_one = np.concatenate([log_bessel_i_array(order, z[i:i + 1])
+                                         for i in range(z.size)])
+            assert np.array_equal(one_by_one.view(np.int64), expected)
 
     def test_large_order_routing_past_c_long(self):
         """At order 30000 every positive z takes the uniform expansion; its
@@ -172,9 +193,10 @@ class TestLogBessel:
     @pytest.mark.parametrize("order", (-0.5, 0.0, 2.0, 11700.0))
     def test_direct_series_path_matches_masked_path(self, order):
         """An array wholly inside the series domain skips the branch masks.
-        Inside an array that also holds zeros, arguments above 700 and (at
-        order 11700) an argument past the term budget, the same values come
-        out bit for bit the same, in any order and any shape."""
+        Inside an array that also holds zeros and arguments above 700, the
+        same values come out bit for bit the same, in any order and any
+        shape.  Order 11700 lies above ``_SERIES_ORDER_MAX``, where the
+        uniform expansion takes every positive argument."""
         rng = np.random.default_rng(5)
         z = rng.uniform(1e-9, 350.0 if order > 1e4 else 700.0, 2000)
         direct = log_bessel_i_array(order, z)
