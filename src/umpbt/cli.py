@@ -235,6 +235,7 @@ def _cmd_ttest_demo(args) -> dict:
             "max_prob": _round10(r.max_prob),
             "plateau_lo": _round10(r.plateau_lo),
             "plateau_hi": _round10(r.plateau_hi),
+            "mc_prob": _round10(r.mc_prob),
         }
         for r in report.rows
     ]

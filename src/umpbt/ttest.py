@@ -6,13 +6,9 @@ the scale statistic U = sum (x_i - xbar)^2 + 2 beta.  The evidence region
 {BF > gamma} in y is a bounded interval whose endpoints move with the
 alternative in a non-nested way, so no alternative's region covers all the
 others and the most powerful alternative changes with the data-generating
-mean.  This module quantifies that: it estimates, by seeded Monte Carlo
-over full datasets, which alternative maximizes the rejection probability
-for each data-generating mean, and flags the disagreement.
-
-Common random numbers: for a fixed base seed, every alternative considered
-for one data-generating mean is evaluated on the same simulated datasets,
-which makes argmax comparisons stable and the whole report deterministic.
+mean.  This module quantifies that: for each data-generating mean it finds
+the alternative that minimizes the exact probability that the test accepts
+(one quadrature), and flags the disagreement.
 """
 
 from __future__ import annotations
@@ -21,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sp
 
 from .bayes import _check_gamma
 from .errors import DomainError
@@ -38,16 +35,14 @@ __all__ = [
     "nonexistence_demo",
 ]
 
-_STATS_CHUNK = 100_000
-_GRID_POINTS = 240
-# grid spans theta0 + (0.02 .. 1.6) * (theta_t - theta0)
-_GRID_OFFSETS = np.linspace(0.02, 1.6, _GRID_POINTS)
+# 240 alternatives spanning theta0 + (0.02 .. 1.6) * (theta_t - theta0)
+_GRID_OFFSETS = np.linspace(0.02, 1.6, 240)
+_CUT = 1e-13
 
 
 def _check_mean(value: float, name: str) -> None:
     """The one rule for the t-test's means: finite, magnitude at most 1e100.
-    The grid then stays within ~4.2e100, and n (ybar - theta)^2 within
-    double range for any n that fits in memory."""
+    The grid then stays within ~4.2e100, and n (ybar - theta)^2 in range."""
     if not abs(value) <= 1e100:
         raise DomainError(f"{name}={value} must lie in [-1e100, 1e100]")
 
@@ -99,18 +94,17 @@ class QuadraticRegion:
 
 @dataclass(frozen=True)
 class TTestArgmax:
-    """Most powerful alternative found for one data-generating mean.
-
-    When the empirical power surface attains its maximum on a plateau of
-    grid cells (ties at Monte Carlo resolution), ``argmax_theta`` is the
-    plateau midpoint and [plateau_lo, plateau_hi] records its extent.
-    """
+    """Most powerful alternative for one data-generating mean, with its exact
+    rejection probability and a seeded Monte Carlo estimate of it.  Where the
+    acceptance probability ties (underflows to 0) on several grid cells, the
+    argmax is their midpoint and [plateau_lo, plateau_hi] their extent."""
 
     theta_t: float
     argmax_theta: float
     max_prob: float
     plateau_lo: float
     plateau_hi: float
+    mc_prob: float
 
 
 @dataclass(frozen=True)
@@ -127,6 +121,7 @@ class NonexistenceReport:
 
 def t_log_bf(y: float, theta: float, u_stat: float, setting: TTestSetting) -> float:
     """Log Bayes factor (n/2 + alpha) log[(U + n(y-theta0)^2)/(U + n(y-theta)^2)]."""
+    _check_mean(theta, "alternative mean theta")
     if not (u_stat > 0):
         raise DomainError(f"scale statistic U must be positive, got {u_stat}")
     return float(_t_log_bf_array(np.array([y]), np.array([u_stat]), theta, setting)[0])
@@ -149,6 +144,7 @@ def t_region(theta: float, u_stat: float, setting: TTestSetting) -> QuadraticReg
     root of gamma_n (theta - theta0)^2 / (gamma_n - 1)^2 - U/n; a negative
     radicand means no sample mean reaches the threshold.
     """
+    _check_mean(theta, "alternative mean theta")
     if not (u_stat > 0):
         raise DomainError(f"scale statistic U must be positive, got {u_stat}")
     g = setting.gamma_n
@@ -160,83 +156,96 @@ def t_region(theta: float, u_stat: float, setting: TTestSetting) -> QuadraticReg
     return QuadraticRegion(lower=center - half, upper=center + half, empty=False)
 
 
-def _dataset_stats(theta_t: float, setting: TTestSetting, n_draws: int,
-                   seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sufficient statistics (xbar, U) of ``n_draws`` simulated datasets,
-    from a stream keyed on (seed, theta_t): equal theta_t values share them."""
+def _acceptance_prob(theta: float, theta_t: float, setting: TTestSetting) -> float:
+    """Exact probability A that the test at ``theta`` accepts when the mean is ``theta_t``.
+
+    With g = gamma_n and c - theta0 = g (theta - theta0)/(g - 1), the test
+    rejects iff sum (x_i - c)^2 < R^2 = n (c - theta0)^2 / g - 2 beta, so it
+    accepts iff V + Z^2 >= r = R^2 / sigma^2, with V = S / sigma^2 ~ chi2_{n-1}
+    (density f, CDF F, tail Q) independent of Z ~ N(mu, 1), mu = sqrt(n) (theta_t - c) / sigma:
+
+        A = Q(r) + int_0^r f(v) T(r - v) dv,  T(w) = Phi(mu - sqrt w) + Phi(-mu - sqrt w).
+
+    A itself, not 1 - A, keeps its precision where the test almost surely
+    rejects.  Each cut of [0, r] to [a, b] leaves out at most _CUT of A.  T
+    rises with v, so the part below a, F(a) = _CUT F(r), is at most
+    F(a) / (F(r) - F(a)) of the rest.  The part above b is at most
+    Q(b) - Q(r) = _CUT max(Q(r), Q(m) T(r - m)), m = min(n - 1, r), and A
+    exceeds that max, as V >= m and Z^2 >= r - m together accept.
+    """
+    from scipy.integrate import quad
+
+    n, sigma, df = setting.n, setting.sigma_true, setting.n - 1.0
+    g_minus_1 = math.expm1(2.0 * math.log(setting.gamma) / (n + 2.0 * setting.alpha_prior))
+    shift = (1.0 + g_minus_1) * (theta - setting.theta0) / g_minus_1     # c - theta0
+    r = (n * shift * shift / (1.0 + g_minus_1) - 2.0 * setting.beta_prior) / sigma ** 2
+    if not r > 0.0:
+        return 1.0
+    mu = math.sqrt(n) * (theta_t - setting.theta0 - shift) / sigma
+    log_norm = -(df / 2.0) * math.log(2.0) - math.lgamma(df / 2.0)
+
+    def z_tail(w: float) -> float:
+        return float(_sp.ndtr(mu - math.sqrt(w)) + _sp.ndtr(-mu - math.sqrt(w)))
+
+    def integrand(v: float) -> float:
+        return math.exp(log_norm + (df / 2.0 - 1.0) * math.log(v) - v / 2.0) * z_tail(r - v)
+
+    tail, m = float(_sp.chdtrc(df, r)), min(df, r)
+    floor = max(tail, float(_sp.chdtrc(df, m)) * z_tail(r - m))
+    lo = 2.0 * float(_sp.gammaincinv(df / 2.0, _CUT * float(_sp.chdtr(df, r))))
+    hi = min(r, float(_sp.chdtri(df, min(1.0, tail + _CUT * floor))))
+    if not hi > lo:
+        return tail
+    # full_output=1 returns, not warns, quad's roundoff reports (A < 1e-100, n ~ 3e4)
+    return tail + quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11, full_output=1)[0]
+
+
+def _mc_rejection(theta: float, theta_t: float, setting: TTestSetting,
+                  n_draws: int, seed: int) -> float:
+    """:func:`t_rejection_prob` unchecked, for argmaxes up to ~4.2e100."""
     bits = int(np.array(float(theta_t), dtype=np.float64).view(np.uint64))
     rng = np.random.default_rng([int(seed), bits])
-    ybar = np.empty(n_draws)
-    u_stat = np.empty(n_draws)
-    for start in range(0, n_draws, _STATS_CHUNK):
-        stop = min(start + _STATS_CHUNK, n_draws)
-        x = rng.normal(theta_t, setting.sigma_true, size=(stop - start, setting.n))
-        m = x.mean(axis=1)
-        ybar[start:stop] = m
-        u_stat[start:stop] = ((x - m[:, None]) ** 2).sum(axis=1)
-    u_stat += 2.0 * setting.beta_prior
-    return ybar, u_stat
-
-
-def _rejection_rate(ybar: np.ndarray, u_stat: np.ndarray, theta: float,
-                    setting: TTestSetting) -> float:
-    log_gamma = math.log(setting.gamma)
+    n, sigma = setting.n, setting.sigma_true
+    ybar = rng.normal(theta_t, sigma / math.sqrt(n), n_draws)
+    u_stat = sigma ** 2 * rng.chisquare(n - 1, n_draws) + 2.0 * setting.beta_prior
     lbf = _t_log_bf_array(ybar, u_stat, theta, setting)
-    return float(np.count_nonzero(lbf > log_gamma)) / ybar.size
+    return float(np.count_nonzero(lbf > math.log(setting.gamma))) / n_draws
 
 
 def t_rejection_prob(theta: float, theta_t: float, setting: TTestSetting,
                      n_draws: int, seed: int) -> float:
-    """Monte Carlo rejection probability over full simulated datasets.
+    """Seeded Monte Carlo rejection probability over ``n_draws`` datasets.
 
-    Draws ``n_draws`` datasets of ``setting.n`` normal observations with
-    mean ``theta_t``, forms (xbar, U) for each, and counts datasets whose
-    Bayes factor at ``theta`` exceeds the threshold.  Deterministic given
-    the seed; the same seed and theta_t reuse the same datasets across
-    different ``theta`` values.
+    Each dataset enters only through its sufficient statistics, drawn
+    directly: ybar ~ N(theta_t, sigma^2/n) and U ~ sigma^2 chi2_{n-1} + 2 beta.
+    The same seed and theta_t reuse the same datasets for every ``theta``.
     """
     _check_mean(theta, "alternative mean theta")
     _check_mean(theta_t, "data-generating mean theta_t")
     _check_draws(n_draws, seed)
-    ybar, u_stat = _dataset_stats(theta_t, setting, n_draws, seed)
-    return _rejection_rate(ybar, u_stat, theta, setting)
+    return _mc_rejection(theta, theta_t, setting, n_draws, seed)
 
 
 def _argmax_for(theta_t: float, setting: TTestSetting, n_draws: int,
                 seed: int) -> tuple[TTestArgmax, float]:
-    ybar, u_stat = _dataset_stats(theta_t, setting, n_draws, seed)
-
-    span = theta_t - setting.theta0
-    if span == 0.0:
-        span = 4.0 * setting.sigma_true
+    span = (theta_t - setting.theta0) or 4.0 * setting.sigma_true
     grid = setting.theta0 + _GRID_OFFSETS * span
-    rates = np.array([_rejection_rate(ybar, u_stat, t, setting) for t in grid])
+    accept = np.array([_acceptance_prob(float(t), theta_t, setting) for t in grid])
     step = abs(float(grid[1] - grid[0]))
-
-    peak = int(np.argmax(rates))
-    v_max = float(rates[peak])
-    lo_idx = peak
-    while lo_idx > 0 and rates[lo_idx - 1] == v_max:
-        lo_idx -= 1
-    hi_idx = peak
-    while hi_idx < len(grid) - 1 and rates[hi_idx + 1] == v_max:
-        hi_idx += 1
-
-    if lo_idx == hi_idx:
-        # unique maximal cell: refine it on the common-random-number surface
-        a = float(grid[max(lo_idx - 1, 0)])
-        b = float(grid[min(hi_idx + 1, len(grid) - 1)])
-        x, neg_max = _golden_min(lambda t: -_rejection_rate(ybar, u_stat, t, setting),
-                                 a, b, step * 1e-3)
-        row = TTestArgmax(theta_t=theta_t, argmax_theta=float(x),
-                          max_prob=-float(neg_max), plateau_lo=float(x),
-                          plateau_hi=float(x))
+    ties = np.flatnonzero(accept == accept.min())
+    if ties.size == 1:
+        # unique minimal cell: refine it to 1e-6 of a step by golden section
+        a, b = sorted(grid[[max(ties[0] - 1, 0), min(ties[0] + 1, len(grid) - 1)]])
+        x, min_accept = _golden_min(lambda t: _acceptance_prob(t, theta_t, setting),
+                                    float(a), float(b), step * 1e-6)
+        lo = hi = x = float(x)
     else:
-        # the empirical maximum is attained on a plateau of exact ties
-        # (every dataset rejects there); report its midpoint
-        lo, hi = float(grid[lo_idx]), float(grid[hi_idx])
-        row = TTestArgmax(theta_t=theta_t, argmax_theta=0.5 * (lo + hi),
-                          max_prob=v_max, plateau_lo=lo, plateau_hi=hi)
+        # A ties only where it underflows to 0 (or no dataset rejects, A = 1)
+        lo, hi = sorted(float(grid[i]) for i in (ties[0], ties[-1]))
+        x, min_accept = 0.5 * (lo + hi), float(accept[ties[0]])
+    row = TTestArgmax(theta_t=theta_t, argmax_theta=x, max_prob=1.0 - float(min_accept),
+                      plateau_lo=lo, plateau_hi=hi,
+                      mc_prob=_mc_rejection(x, theta_t, setting, n_draws, seed))
     return row, step
 
 
@@ -244,10 +253,11 @@ def nonexistence_demo(setting: TTestSetting, theta_t_list, n_draws: int,
                       seed: int) -> NonexistenceReport:
     """Locate the most powerful alternative for each data-generating mean.
 
-    Flags non-existence of a uniformly most powerful alternative when the
-    located argmaxes spread farther apart than the refinement tolerance
-    (the coarsest grid step used).  Equal theta_t entries share their
-    simulated datasets, so they report identical argmaxes.
+    Scans the exact acceptance probability over 240 alternatives from theta0
+    to 1.6 theta_t and refines its minimal cell by golden section.  Flags
+    non-existence of a uniformly most powerful alternative when the argmaxes
+    spread farther apart than the coarsest grid step.  ``n_draws`` and
+    ``seed`` drive only the Monte Carlo column.
     """
     theta_t_list = [float(t) for t in theta_t_list]
     if len(theta_t_list) < 2:
@@ -256,20 +266,8 @@ def nonexistence_demo(setting: TTestSetting, theta_t_list, n_draws: int,
         _check_mean(theta_t, "data-generating mean theta_t")
     _check_draws(n_draws, seed)
 
-    rows = []
-    refine_tol = 0.0
-    for theta_t in theta_t_list:
-        row, step = _argmax_for(theta_t, setting, n_draws, seed)
-        rows.append(row)
-        refine_tol = max(refine_tol, step)
-
+    rows, steps = zip(*[_argmax_for(t, setting, n_draws, seed) for t in theta_t_list])
     argmaxes = [r.argmax_theta for r in rows]
-    spread = max(argmaxes) - min(argmaxes)
-    return NonexistenceReport(
-        setting=setting,
-        n_draws=n_draws,
-        seed=seed,
-        refine_tol=refine_tol,
-        rows=tuple(rows),
-        nonexistence=bool(spread > refine_tol),
-    )
+    return NonexistenceReport(setting=setting, n_draws=n_draws, seed=seed,
+                              refine_tol=max(steps), rows=rows,
+                              nonexistence=bool(max(argmaxes) - min(argmaxes) > max(steps)))

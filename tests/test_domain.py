@@ -32,6 +32,8 @@ from umpbt import (
     rejection_probability,
     sample_noncentral_chisq,
     solve_umpbt_expfam,
+    t_log_bf,
+    t_region,
     t_rejection_prob,
 )
 
@@ -124,6 +126,8 @@ MEAN_ENTRIES = {
     "t_rejection_prob(theta)": lambda m: t_rejection_prob(m, 0.0, _SETTING, 100, 1),
     "t_rejection_prob(theta_t)": lambda m: t_rejection_prob(1.0, m, _SETTING, 100, 1),
     "nonexistence_demo": lambda m: nonexistence_demo(_SETTING, [0.0, m], 100, 1),
+    "t_region": lambda m: t_region(m, 1.0, _SETTING),
+    "t_log_bf": lambda m: t_log_bf(1.0, m, 1.0, _SETTING),
 }
 
 

@@ -1,8 +1,10 @@
 """One-sample t-test layer: Bayes factor, quadratic regions, non-existence."""
 
 import math
+import warnings
 
 import numpy as np
+import oracles
 import pytest
 
 from umpbt import (
@@ -13,6 +15,8 @@ from umpbt import (
     t_region,
     t_rejection_prob,
 )
+from umpbt.special import NoncentralChiSq, noncentral_chisq_sf
+from umpbt.ttest import _acceptance_prob
 
 DEMO = TTestSetting(n=10, theta0=0.0, alpha_prior=0.0, beta_prior=0.0,
                     gamma=3.0, sigma_true=1.0)
@@ -141,6 +145,69 @@ class TestTRegion:
         assert np.all(np.array(uppers) <= peak_region.upper + 1e-12)
 
 
+def _region_law(theta, theta_t, setting):
+    """(r, n, mu^2): the test accepts iff sum (x_i - c)^2 / sigma^2, a
+    noncentral chi2_n(mu^2) variable, is at least r."""
+    n = setting.n
+    g_minus_1 = math.expm1(2.0 * math.log(setting.gamma) / n)
+    shift = (1.0 + g_minus_1) * theta / g_minus_1       # c - theta0, theta0 = 0
+    r = n * shift * shift / (1.0 + g_minus_1) - 2.0 * setting.beta_prior
+    return r, n, n * (theta_t - shift) ** 2
+
+
+class TestAcceptanceProb:
+    @pytest.mark.parametrize("n", [2, 3, 10, 50, 400])
+    @pytest.mark.parametrize("gamma", [1.5, 3.0, 100.0])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_against_noncentral_chisq_oracle(self, n, gamma, beta):
+        """sum (x_i - c)^2 / sigma^2 ~ chi'2_n(mu^2), so A is its 50-digit
+        survival function at r.  The alternatives put mu at -1.5 and 4 for
+        theta_t 0.5 (A near 1) and 1.5 (A down to 1e-51 at n 400)."""
+        setting = TTestSetting(n=n, gamma=gamma, beta_prior=beta)
+        g = setting.gamma_n
+        for theta_t in (0.5, 1.5):
+            for mu in (-1.5, 4.0):
+                theta = (theta_t - mu / math.sqrt(n)) * (g - 1.0) / g
+                r, df, mu2 = _region_law(theta, theta_t, setting)
+                accept = _acceptance_prob(theta, theta_t, setting)
+                if r <= 0.0:
+                    assert accept == 1.0
+                    continue
+                assert mu2 <= 1e4
+                oracle = oracles.noncentral_chisq_sf_mp(r, df, mu2)
+                assert accept == pytest.approx(oracle, rel=1e-9, abs=0.0)
+
+    def test_sweep_raises_no_warning(self):
+        """Every warning is an error here, quad's IntegrationWarning included,
+        from gamma 1.01 to 100 and n 2 to 3000; where mu^2 <= 1e6 the value
+        meets the exact noncentral chi-squared survival function."""
+        checked = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (2, 3, 10, 100, 3000):
+                for gamma in (1.01, 3.0, 100.0):
+                    for beta in (0.0, 1.0):
+                        setting = TTestSetting(n=n, gamma=gamma, beta_prior=beta)
+                        for theta_t in (0.5, -4.0):
+                            for offset in np.linspace(0.02, 1.6, 8):
+                                theta = float(offset * theta_t)
+                                accept = _acceptance_prob(theta, theta_t, setting)
+                                assert 0.0 <= accept <= 1.0
+                                r, df, mu2 = _region_law(theta, theta_t, setting)
+                                if r <= 0.0 or mu2 > 1e6 or accept < 1e-300:
+                                    continue
+                                exact = noncentral_chisq_sf(r, NoncentralChiSq(df, mu2))
+                                assert accept == pytest.approx(exact, rel=1e-9, abs=0.0)
+                                checked += 1
+        assert checked > 200
+
+    def test_never_rejects_without_a_region(self):
+        # R^2 = n (c - theta0)^2 / g - 2 beta <= 0: no dataset rejects
+        setting = TTestSetting(n=2, gamma=100.0, beta_prior=1.0)
+        assert _acceptance_prob(0.5, 2.0, setting) == 1.0
+        assert _acceptance_prob(0.0, 2.0, DEMO) == 1.0
+
+
 class TestTRejectionProb:
     def test_remote_alternative_never_rejects(self):
         assert t_rejection_prob(50.0, 0.0, DEMO, 100_000, seed=3) < 0.01
@@ -157,6 +224,20 @@ class TestTRejectionProb:
         assert p_near > 0.5
         assert p_near > p_far
 
+    @pytest.mark.parametrize("setting, theta, theta_t", [
+        (DEMO, 1.0, 2.0),
+        (DEMO, 3.0, 2.0),
+        (DEMO, 0.3, 0.0),
+        (TTestSetting(n=3, gamma=1.5, beta_prior=1.0), 0.6, 0.5),
+        (TTestSetting(n=50, gamma=100.0), 0.3, 1.0),
+    ])
+    def test_within_five_sigma_of_exact(self, setting, theta, theta_t):
+        draws = 200_000
+        rate = t_rejection_prob(theta, theta_t, setting, draws, seed=11)
+        exact = 1.0 - _acceptance_prob(theta, theta_t, setting)
+        sigma = math.sqrt(exact * (1.0 - exact) / draws)
+        assert abs(rate - exact) <= 5.0 * sigma + 5.0 / draws
+
     def test_validation(self):
         with pytest.raises(DomainError):
             t_rejection_prob(1.0, 0.0, DEMO, 0, seed=1)
@@ -172,9 +253,27 @@ class TestNonexistenceDemo:
         assert 0.0 < a4 < 4.0
         assert abs(a4 - a2) > report.refine_tol
 
+    def test_demo_argmaxes_are_exact(self):
+        """The minimizers of the exact acceptance probability, found with
+        the 50-digit oracle: A is 2.894e-6 and 1.331e-25 there."""
+        report = nonexistence_demo(DEMO, [2.0, 4.0], 1000, seed=1)
+        row2, row4 = report.rows
+        assert row2.argmax_theta == pytest.approx(0.6648356838, abs=1e-7)
+        assert row4.argmax_theta == pytest.approx(0.9736206280, abs=1e-7)
+        assert 1.0 - row2.max_prob == pytest.approx(2.8938060594e-6, rel=1e-6)
+
+    def test_mc_prob_matches_the_exact_rate(self):
+        draws = 200_000
+        setting = TTestSetting(n=10, gamma=20.0)
+        report = nonexistence_demo(setting, [1.0, 2.0], draws, seed=3)
+        for row in report.rows:
+            exact = row.max_prob
+            sigma = math.sqrt(exact * (1.0 - exact) / draws)
+            assert abs(row.mc_prob - exact) <= 5.0 * sigma + 5.0 / draws
+
     def test_identical_data_generating_means_agree(self):
         report = nonexistence_demo(DEMO, [2.0, 2.0], 20_000, seed=9)
-        assert report.rows[0].argmax_theta == report.rows[1].argmax_theta
+        assert report.rows[0] == report.rows[1]
         assert not report.nonexistence
 
     def test_deterministic_given_seed(self):
@@ -183,10 +282,38 @@ class TestNonexistenceDemo:
         assert first.rows == second.rows
 
     def test_plateau_bounds_bracket_argmax(self):
-        report = nonexistence_demo(DEMO, [2.0, 4.0], 30_000, seed=42)
-        for row in report.rows:
-            assert row.plateau_lo <= row.argmax_theta <= row.plateau_hi
-            assert 0.0 <= row.max_prob <= 1.0
+        for means in ([2.0, 4.0], [-2.0, -4.0]):
+            report = nonexistence_demo(DEMO, means, 20_000, seed=42)
+            for row in report.rows:
+                assert row.plateau_lo <= row.argmax_theta <= row.plateau_hi
+                assert 0.0 <= row.max_prob <= 1.0
+
+    def test_means_below_the_null_mirror_those_above(self):
+        above = nonexistence_demo(DEMO, [2.0, 4.0], 1000, seed=1)
+        below = nonexistence_demo(DEMO, [-2.0, -4.0], 1000, seed=1)
+        for up, down in zip(above.rows, below.rows):
+            assert down.argmax_theta == pytest.approx(-up.argmax_theta, abs=1e-7)
+            assert down.max_prob == pytest.approx(up.max_prob, rel=1e-9)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_plateau_only_where_acceptance_underflows(self, sign):
+        """At n 100, A underflows to 0 over a run of cells at theta_t 4; below
+        the null the grid descends, and the bounds still come out ordered."""
+        setting = TTestSetting(n=100, gamma=3.0)
+        report = nonexistence_demo(setting, [2.0 * sign, 4.0 * sign], 1000, seed=1)
+        row = report.rows[1]
+        assert row.plateau_lo < row.argmax_theta < row.plateau_hi
+        assert row.max_prob == 1.0
+        assert _acceptance_prob(row.argmax_theta, row.theta_t, setting) == 0.0
+
+    def test_extreme_means_raise_no_warning(self):
+        """theta0 = 1e100 puts the Monte Carlo's ybar exactly on -1e100,
+        where the simulated scale statistic once rounded to U = 0."""
+        setting = TTestSetting(n=3, theta0=1e100, gamma=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = nonexistence_demo(setting, [-1e100, 1e100], 50, 1)
+        assert len(report.rows) == 2
 
     def test_needs_two_means(self):
         with pytest.raises(DomainError):
