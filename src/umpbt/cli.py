@@ -1,9 +1,9 @@
 """Command-line surface over the solver, power, table and t-test engines.
 
 Output contract: ``plain`` format is line-oriented ``key=value`` (tabular
-payloads render one ``row ...`` line per entry), ``--json`` emits a single
-document holding the same payload, and numbers are rounded to 10
-significant digits before rendering so both formats agree byte for byte.
+payloads render one ``row ...`` line per entry) and prints floats with
+``.10g``; ``--json`` emits a single document holding the same payload with
+its floats rounded to 10 significant digits, so both formats agree.
 Identical argv (seeds included) always produces byte-identical output.
 
 Exit status: 0 on success, 1 on domain/validation/usage errors, 2 on
@@ -13,6 +13,7 @@ solver failures.  Diagnostics go to stderr as ``error: <category>: <detail>``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -51,9 +52,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-def _round10(x) -> float:
-    """Round to the 10 significant digits used by every output format."""
-    return float(f"{float(x):.10g}")
+def _round10(value):
+    """``value`` with each float in it, nested in dicts and lists, at 10 significant digits."""
+    if isinstance(value, dict):
+        return {k: _round10(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_round10(v) for v in value]
+    return float(f"{value:.10g}") if isinstance(value, float) else value
 
 
 def _fmt(v) -> str:
@@ -112,15 +117,11 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _solution_payload(solution: UmpbtSolution, alpha=None) -> dict:
     payload = {}
     if alpha is not None:
-        payload["alpha"] = _round10(alpha)
+        payload["alpha"] = alpha
     if solution.df is not None:
-        payload["df"] = _round10(solution.df)
-    payload.update(
-        gamma=_round10(solution.gamma),
-        theta_star=_round10(solution.theta_star),
-        boundary=_round10(solution.boundary),
-        direction=solution.direction,
-    )
+        payload["df"] = solution.df
+    payload.update(gamma=solution.gamma, theta_star=solution.theta_star,
+                   boundary=solution.boundary, direction=solution.direction)
     return payload
 
 
@@ -140,11 +141,8 @@ def _cmd_chisq(args) -> dict:
 def _cmd_bf(args) -> dict:
     solution = _solve_spec(args.df, args.gamma, args.alpha)
     log_bf = log_bf_ncchisq(args.stat, solution.theta_star, args.df)
-    payload = {"stat": _round10(args.stat)}
-    payload.update(_solution_payload(solution, args.alpha))
-    payload["log_bf"] = _round10(log_bf)
-    payload["bf"] = _round10(LogValue(log_bf).exp())
-    return payload
+    return {"stat": args.stat, **_solution_payload(solution, args.alpha),
+            "log_bf": log_bf, "bf": LogValue(log_bf).exp()}
 
 
 def _cmd_contingency(args) -> dict:
@@ -156,14 +154,14 @@ def _cmd_contingency(args) -> dict:
         "rows_count": table.shape[0],
         "cols_count": table.shape[1],
         "grand_total": result.grand_total,
-        "statistic": _round10(result.statistic),
+        "statistic": result.statistic,
         "df": result.df,
-        "alpha": _round10(result.alpha),
-        "gamma": _round10(result.gamma),
-        "theta_star": _round10(result.theta_star),
-        "log_bf": _round10(result.log_bf),
-        "bf": _round10(result.bf),
-        "min_expected": _round10(result.min_expected),
+        "alpha": result.alpha,
+        "gamma": result.gamma,
+        "theta_star": result.theta_star,
+        "log_bf": result.log_bf,
+        "bf": result.bf,
+        "min_expected": result.min_expected,
     }
 
 
@@ -171,39 +169,37 @@ def _cmd_expfam(args) -> dict:
     model = ExpFamilyModel(kind=args.model, theta0=args.theta0, n=args.n,
                            side=args.side, nuisance=args.nuisance)
     solution = solve_umpbt_expfam(model, args.gamma)
-    payload = {
+    return {
         "model": args.model,
-        "theta0": _round10(args.theta0),
+        "theta0": args.theta0,
         "n": args.n,
         "side": args.side,
-        "nuisance": _round10(model.nuisance),
+        "nuisance": model.nuisance,
+        **_solution_payload(solution),
     }
-    payload.update(_solution_payload(solution))
-    return payload
 
 
 def _cmd_power(args) -> dict:
     theta_grid = _parse_grid(args.theta_grid) if args.theta_grid else None
     theta_t_grid = _parse_grid(args.theta_t_grid) if args.theta_t_grid else None
     report = dominance_check(args.gamma, args.df, theta_grid, theta_t_grid)
-    rows = [{"theta_t": _round10(theta_t), "theta": _round10(theta), "h": _round10(h)}
+    rows = [{"theta_t": theta_t, "theta": theta, "h": h}
             for theta, theta_t, h in report.curve.entries]
     if args.mc is not None:
         thetas, theta_ts, _ = zip(*report.curve.entries)
         h_mc = mc_rejection_rate(thetas, theta_ts, args.gamma, args.df, args.mc,
                                  args.seed)
         for row, rate in zip(rows, h_mc):
-            row["h_mc"] = _round10(rate)
-    payload = {
-        "df": _round10(args.df),
-        "gamma": _round10(args.gamma),
-        "theta_star": _round10(report.theta_star),
-        "boundary": _round10(report.boundary),
-        "max_margin": _round10(report.max_margin),
+            row["h_mc"] = rate
+    return {
+        "df": args.df,
+        "gamma": args.gamma,
+        "theta_star": report.theta_star,
+        "boundary": report.boundary,
+        "max_margin": report.max_margin,
         "dominance": "pass" if report.passed else "fail",
         "rows": rows,
     }
-    return payload
 
 
 def _cmd_curve(args) -> dict:
@@ -211,14 +207,13 @@ def _cmd_curve(args) -> dict:
     points = gamma_vs_df_curve(alphas, args.df_max)
     lines = ["df,alpha,gamma,theta_star"]
     for p in points:
-        lines.append(",".join(_fmt(_round10(v))
-                              for v in (p.df, p.alpha, p.gamma, p.theta_star)))
+        lines.append(",".join(_fmt(v) for v in (p.df, p.alpha, p.gamma, p.theta_star)))
     with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
     return {
         "points": len(points),
         "df_max": args.df_max,
-        "max_gamma": _round10(max(p.gamma for p in points)),
+        "max_gamma": max(p.gamma for p in points),
         "output": args.output,
     }
 
@@ -228,28 +223,17 @@ def _cmd_ttest_demo(args) -> dict:
     setting = TTestSetting(n=args.n, theta0=0.0, alpha_prior=0.0, beta_prior=0.0,
                            gamma=args.gamma, sigma_true=1.0)
     report = nonexistence_demo(setting, theta_ts, args.draws, args.seed)
-    rows = [
-        {
-            "theta_t": _round10(r.theta_t),
-            "argmax_theta": _round10(r.argmax_theta),
-            "max_prob": _round10(r.max_prob),
-            "plateau_lo": _round10(r.plateau_lo),
-            "plateau_hi": _round10(r.plateau_hi),
-            "mc_prob": _round10(r.mc_prob),
-        }
-        for r in report.rows
-    ]
     return {
         "n": setting.n,
-        "theta0": _round10(setting.theta0),
-        "alpha_prior": _round10(setting.alpha_prior),
-        "beta_prior": _round10(setting.beta_prior),
-        "sigma": _round10(setting.sigma_true),
-        "gamma": _round10(setting.gamma),
+        "theta0": setting.theta0,
+        "alpha_prior": setting.alpha_prior,
+        "beta_prior": setting.beta_prior,
+        "sigma": setting.sigma_true,
+        "gamma": setting.gamma,
         "draws": report.n_draws,
         "seed": report.seed,
-        "refine_tol": _round10(report.refine_tol),
-        "rows": rows,
+        "refine_tol": report.refine_tol,
+        "rows": [dataclasses.asdict(row) for row in report.rows],
         "nonexistence": report.nonexistence,
     }
 
@@ -359,7 +343,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return 1
 
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2), file=out)
+        print(json.dumps(_round10(payload), indent=2), file=out)
     else:
         for line in render_plain(payload):
             print(line, file=out)

@@ -53,7 +53,12 @@ class TTestSetting:
 
     ``alpha_prior``/``beta_prior`` parametrize the inverse-gamma prior on
     the variance (zero values give the non-informative limit);
-    ``sigma_true`` is the data-generating standard deviation.
+    ``sigma_true`` is the data-generating standard deviation.  With g =
+    gamma^(2/(n + 2 alpha_prior)), the demo's alternatives lie within 6.4e100 of
+    theta0, so |c - theta0| <= 6.4e100 g/(g - 1) and |theta_t - c| <= 8.4e100
+    g/(g - 1): r <= n ((c - theta0)/sigma)^2 and mu^2 = n ((theta_t - c)/sigma)^2
+    of :func:`_acceptance_prob` stay finite for sigma >= 1e-53 sqrt(n) g/(g - 1),
+    and sigma <= 1e100 keeps the Monte Carlo's U and n (ybar - theta)^2 in range.
     """
 
     n: int
@@ -70,13 +75,21 @@ class TTestSetting:
         if self.alpha_prior < 0 or self.beta_prior < 0:
             raise DomainError("inverse-gamma prior parameters must be nonnegative")
         _check_gamma(self.gamma)
-        if not (0 < self.sigma_true < math.inf):
-            raise DomainError(f"sigma_true must be positive, got {self.sigma_true}")
+        g_minus_1, _ = _center_shift(self.theta0, self)
+        sigma_lo = 1e-53 * math.sqrt(self.n) * (1.0 + g_minus_1) / g_minus_1
+        if not sigma_lo <= self.sigma_true <= 1e100:
+            raise DomainError(f"sigma_true={self.sigma_true} must lie in [{sigma_lo:g}, 1e100]")
 
-    @property
-    def gamma_n(self) -> float:
-        """Threshold raised to 2/(n + 2 alpha); exceeds 1 whenever gamma does."""
-        return self.gamma ** (2.0 / (self.n + 2.0 * self.alpha_prior))
+
+def _center_shift(theta: float, setting: TTestSetting) -> tuple[float, float]:
+    """(g - 1, c - theta0): g - 1 from expm1 stays positive where g rounds to 1,
+    unless n + 2 alpha_prior overflows; c is the evidence interval's center."""
+    g_minus_1 = math.expm1(2.0 * math.log(setting.gamma)
+                           / (setting.n + 2.0 * setting.alpha_prior))
+    if not g_minus_1 > 0.0:
+        raise DomainError(f"gamma ** (2/(n + 2 alpha_prior)) rounds to 1 at "
+                          f"n={setting.n}, alpha_prior={setting.alpha_prior}")
+    return g_minus_1, (1.0 + g_minus_1) * (theta - setting.theta0) / g_minus_1
 
 
 @dataclass(frozen=True)
@@ -140,20 +153,22 @@ def _t_log_bf_array(ybar: np.ndarray, u_stat: np.ndarray, theta: float,
 def t_region(theta: float, u_stat: float, setting: TTestSetting) -> QuadraticRegion:
     """Evidence interval in the sample mean for the alternative ``theta``.
 
-    Center (gamma_n theta - theta0)/(gamma_n - 1), half-width the square
-    root of gamma_n (theta - theta0)^2 / (gamma_n - 1)^2 - U/n; a negative
-    radicand means no sample mean reaches the threshold.
+    Center c = theta0 + g (theta - theta0)/(g - 1), half-width the square
+    root of (c - theta0)^2 / g - U/n; a negative radicand means no sample
+    mean reaches the threshold.  The endpoint nearer theta0 is the roots'
+    product (c - theta0)(theta - theta0) + U/n over the farther one, exact
+    even where g rounds to 1.
     """
     _check_mean(theta, "alternative mean theta")
     if not (u_stat > 0):
         raise DomainError(f"scale statistic U must be positive, got {u_stat}")
-    g = setting.gamma_n
-    center = (g * theta - setting.theta0) / (g - 1.0)
-    disc = g * (theta - setting.theta0) ** 2 / (g - 1.0) ** 2 - u_stat / setting.n
+    g_minus_1, shift = _center_shift(theta, setting)
+    disc = shift * shift / (1.0 + g_minus_1) - u_stat / setting.n
     if disc < 0.0:
         return QuadraticRegion(lower=math.nan, upper=math.nan, empty=True)
-    half = math.sqrt(disc)
-    return QuadraticRegion(lower=center - half, upper=center + half, empty=False)
+    far = shift + math.copysign(math.sqrt(disc), shift)
+    near = (shift * (theta - setting.theta0) + u_stat / setting.n) / far
+    return QuadraticRegion(*sorted((setting.theta0 + near, setting.theta0 + far)), empty=False)
 
 
 def _acceptance_prob(theta: float, theta_t: float, setting: TTestSetting) -> float:
@@ -176,9 +191,9 @@ def _acceptance_prob(theta: float, theta_t: float, setting: TTestSetting) -> flo
     from scipy.integrate import quad
 
     n, sigma, df = setting.n, setting.sigma_true, setting.n - 1.0
-    g_minus_1 = math.expm1(2.0 * math.log(setting.gamma) / (n + 2.0 * setting.alpha_prior))
-    shift = (1.0 + g_minus_1) * (theta - setting.theta0) / g_minus_1     # c - theta0
-    r = (n * shift * shift / (1.0 + g_minus_1) - 2.0 * setting.beta_prior) / sigma ** 2
+    g_minus_1, shift = _center_shift(theta, setting)
+    unit_shift = shift / sigma      # in units of sigma, so n shift^2 overflows only with r
+    r = n * unit_shift * unit_shift / (1.0 + g_minus_1) - 2.0 * setting.beta_prior / sigma ** 2
     if not r > 0.0:
         return 1.0
     mu = math.sqrt(n) * (theta_t - setting.theta0 - shift) / sigma

@@ -479,18 +479,34 @@ class TestOutputContract:
 
     @pytest.mark.parametrize("argv", [
         ["chisq", "--df", "6", "--alpha", "0.05"],
+        ["chisq", "--df", "100.6", "--gamma", "87.33"],
+        ["bf", "--df", "6", "--stat", "12.65", "--gamma", "3"],
         ["contingency", WHITE_CSV, "--header", "--row-labels"],
+        ["expfam", "--model", "binomial-proportion", "--theta0", "0.3", "--n", "20",
+         "--gamma", "3", "--side", "greater"],
+        ["expfam", "--model", "normal-mean-known-variance", "--theta0", "0",
+         "--n", "5", "--gamma", "3", "--side", "less"],
+        ["expfam", "--model", "normal-variance-known-mean", "--theta0", "2",
+         "--n", "12", "--nuisance", "1.5", "--gamma", "3", "--side", "greater"],
         ["power", "--df", "2", "--gamma", "3", "--theta-grid", "1:9:3:log",
-         "--theta-t-grid", "0:4:2"],
+         "--theta-t-grid", "0:4:2", "--mc", "2000", "--seed", "3"],
+        ["curve", "--alphas", "0.05,0.01", "--df-max", "3", "-o", "{tmp}"],
         ["ttest-demo", "--n", "10", "--gamma", "3", "--theta-t", "2,4",
          "--seed", "5", "--draws", "5000"],
     ])
-    def test_json_round_trips_to_plain(self, argv):
+    def test_json_round_trips_to_plain(self, argv, tmp_path):
+        """Plain output is the JSON document rendered, and every JSON float
+        is already at 10 significant digits."""
+        argv = [str(tmp_path / "curve.csv") if a == "{tmp}" else a for a in argv]
         code_p, plain, _ = invoke(argv)
         code_j, as_json, _ = invoke(argv + ["--json"])
         assert code_p == code_j == 0
         payload = json.loads(as_json)
         assert "\n".join(render_plain(payload)) + "\n" == plain
+        records = [payload, *payload.pop("rows", [])]
+        floats = [v for record in records for v in record.values() if isinstance(v, float)]
+        assert floats
+        assert all(float(f"{v:.10g}") == v for v in floats)
 
     def test_numbers_use_ten_significant_digits(self):
         _, out, _ = invoke(["chisq", "--df", "6", "--alpha", "0.05"])

@@ -3,7 +3,8 @@
 ``bayes`` owns the df rule, (0, 1e8], and the evidence-threshold rule,
 gamma > 1 and finite; ``special`` owns the draw count, an integer in
 [1, 2**30], and the seed, a nonnegative integer; ``ttest`` owns its means,
-finite with magnitude at most 1e100.  Every entry point that
+finite with magnitude at most 1e100, and ``TTestSetting`` its sigma_true,
+in [1e-53 sqrt(n) gamma_n/(gamma_n - 1), 1e100].  Every entry point that
 takes one of these inputs calls its owner, so an input outside the domain
 fails as the same ``DomainError`` everywhere (exit 1 at the command line),
 before any root, kernel or draw runs.
@@ -145,3 +146,27 @@ def test_mean_outside_the_domain(monkeypatch, entry, mean):
 @pytest.mark.parametrize("mean", [1e100, -1e100])
 def test_mean_at_the_bound_is_accepted(entry, mean):
     MEAN_ENTRIES[entry](mean)
+
+
+def _sigma_lo(n, gamma):
+    g_minus_1 = math.expm1(2.0 * math.log(gamma) / n)
+    return 1e-53 * math.sqrt(n) * (1.0 + g_minus_1) / g_minus_1
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e300, 0.0, -1.0, math.nan, math.inf,
+                                   math.nextafter(1e100, math.inf),
+                                   math.nextafter(_sigma_lo(10, 3.0), 0.0)])
+def test_sigma_outside_the_domain(monkeypatch, sigma):
+    # at 1e-300 the acceptance probability divided by zero, at 1e300 its
+    # sigma ** 2 overflowed
+    _no_draws(monkeypatch)
+    with pytest.raises(DomainError, match=r"^sigma_true=.* must lie in \[1.60311e-52, 1e100\]$"):
+        nonexistence_demo(TTestSetting(n=10, sigma_true=sigma), [2.0, 4.0], 1000, 1)
+
+
+@pytest.mark.parametrize("sigma", [_sigma_lo(10, 3.0), 1e100])
+@pytest.mark.parametrize("theta_ts", [[0.0, 1e100], [-1e100, 1e100]])
+def test_sigma_at_the_bound_is_accepted(sigma, theta_ts):
+    report = nonexistence_demo(TTestSetting(n=10, sigma_true=sigma), theta_ts, 100, 1)
+    for row in report.rows:
+        assert all(math.isfinite(v) for v in (row.argmax_theta, row.max_prob, row.mc_prob))

@@ -16,10 +16,15 @@ from umpbt import (
     t_rejection_prob,
 )
 from umpbt.special import NoncentralChiSq, noncentral_chisq_sf
-from umpbt.ttest import _acceptance_prob
+from umpbt.ttest import _acceptance_prob, _center_shift
 
 DEMO = TTestSetting(n=10, theta0=0.0, alpha_prior=0.0, beta_prior=0.0,
                     gamma=3.0, sigma_true=1.0)
+
+
+def _gamma_n(setting):
+    """The region's threshold gamma^(2/(n + 2 alpha)), as the textbook writes it."""
+    return setting.gamma ** (2.0 / (setting.n + 2.0 * setting.alpha_prior))
 
 
 class TestTLogBf:
@@ -119,7 +124,7 @@ class TestTRegion:
         at theta0 + sqrt(U (gamma_n - 1) / n), attained at that same theta."""
         setting = TTestSetting(n=10, gamma=3.0)
         u_stat = 9.0
-        g = setting.gamma_n
+        g = _gamma_n(setting)
         theta_dip = setting.theta0 + math.sqrt(u_stat * (g - 1.0) / setting.n)
         thetas = np.linspace(theta_dip * 0.55, theta_dip * 6.0, 400)
         regions = [t_region(float(t), u_stat, setting) for t in thetas]
@@ -133,10 +138,19 @@ class TestTRegion:
         assert np.all(lowers >= dip_region.lower - 1e-12)
         assert abs(thetas[int(np.argmin(lowers))] - theta_dip) <= step
 
+    def test_threshold_next_to_one_gives_a_finite_region(self):
+        """gamma_n rounds to 1 here, which divided by zero while the region
+        read gamma_n - 1 from it.  The 60-digit endpoints are 0.5 and
+        4.5035996273704965e21; c - h alone would put the lower one at 0."""
+        region = t_region(1.0, 1.0, TTestSetting(n=10**6, gamma=1 + 2**-52))
+        assert not region.empty
+        assert region.lower == pytest.approx(0.5, rel=1e-15)
+        assert region.upper == pytest.approx(4.5035996273704965e21, rel=1e-15)
+
     def test_mirrored_for_lower_side(self):
         setting = TTestSetting(n=10, gamma=3.0)
         u_stat = 9.0
-        g = setting.gamma_n
+        g = _gamma_n(setting)
         theta_peak = setting.theta0 - math.sqrt(u_stat * (g - 1.0) / setting.n)
         peak_region = t_region(theta_peak, u_stat, setting)
         assert peak_region.upper == pytest.approx(theta_peak, rel=1e-12)
@@ -164,7 +178,7 @@ class TestAcceptanceProb:
         survival function at r.  The alternatives put mu at -1.5 and 4 for
         theta_t 0.5 (A near 1) and 1.5 (A down to 1e-51 at n 400)."""
         setting = TTestSetting(n=n, gamma=gamma, beta_prior=beta)
-        g = setting.gamma_n
+        g = _gamma_n(setting)
         for theta_t in (0.5, 1.5):
             for mu in (-1.5, 4.0):
                 theta = (theta_t - mu / math.sqrt(n)) * (g - 1.0) / g
@@ -332,6 +346,13 @@ class TestTTestSetting:
             TTestSetting(n=10, gamma=3.0, alpha_prior=-1.0)
 
     def test_gamma_n_exceeds_one(self):
+        """gamma_n - 1 comes from expm1, so it stays positive, and accurate,
+        where gamma_n itself rounds to 1."""
         setting = TTestSetting(n=10, gamma=3.0, alpha_prior=0.5)
-        assert setting.gamma_n == 3.0 ** (2.0 / 11.0)
-        assert setting.gamma_n > 1.0
+        g_minus_1, shift = _center_shift(1.0, setting)
+        assert 1.0 + g_minus_1 == pytest.approx(3.0 ** (2.0 / 11.0), rel=1e-15)
+        assert shift == pytest.approx((1.0 + g_minus_1) / g_minus_1, rel=1e-15)
+        near_one = TTestSetting(n=10**6, gamma=1 + 2**-52)
+        assert _gamma_n(near_one) == 1.0
+        g_minus_1, _ = _center_shift(1.0, near_one)
+        assert g_minus_1 == pytest.approx(2 * math.log1p(2**-52) / 10**6, rel=1e-15)
