@@ -33,6 +33,9 @@ _TINIEST = 5e-324
 # gamma's scale past this: at gamma 3, (r(theta*) - df) / sqrt(2 df) is
 # 1.4824 at df 1e8 against its limit 1.4823, but 2.41 at 1e10
 _DF_MAX = 1e8
+# above it theta r(theta) ~ theta^2 / 4 nears overflow; the solve's grid
+# ends at 10 (df + 2 log gamma), a dominance grid at 100 theta*
+_THETA_MAX = 1e150
 
 
 def _check_df(df: float) -> None:
@@ -47,6 +50,21 @@ def _check_gamma(gamma: float) -> None:
     upper rejection interval."""
     if not (gamma > 1 and math.isfinite(gamma)):
         raise DomainError(f"evidence threshold must exceed 1, got {gamma}")
+
+
+def _check_alpha(alpha: float) -> None:
+    """The one rule for a classical size alpha: (0, 1)."""
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"significance level must lie in (0, 1), got {alpha}")
+
+
+def _check_theta(theta) -> None:
+    """The one rule for alternatives theta, a float or an array: each in (0, 1e150]."""
+    inside = (theta > 0) & (theta <= _THETA_MAX)  # a bool for a float, else numpy's
+    if not (inside if isinstance(inside, bool) else inside.all()):
+        bad = np.asarray(theta, dtype=float)[~np.asarray(inside)]
+        raise DomainError(f"noncentrality theta={float(bad[0])!r} must lie in "
+                          f"(0, {_THETA_MAX:g}]")
 
 
 @dataclass(frozen=True)
@@ -66,10 +84,10 @@ class ChiSqTestSpec:
         _check_df(self.df)
         if (self.gamma is None) == (self.alpha is None):
             raise DomainError("exactly one of gamma and alpha must be set")
-        if self.gamma is not None:
+        if self.alpha is None:
             _check_gamma(self.gamma)
-        if self.alpha is not None and not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"significance level must lie in (0, 1), got {self.alpha}")
+        else:
+            _check_alpha(self.alpha)
 
 EXPFAM_KINDS = (
     "binomial-proportion",
@@ -100,8 +118,7 @@ def _log_bf_core(y: np.ndarray, theta: np.ndarray, df: float) -> np.ndarray:
 
 def _check_ncchisq_args(y: float, theta: float, df: float) -> None:
     _check_df(df)
-    if not (theta > 0) or not math.isfinite(theta):
-        raise DomainError(f"noncentrality must be positive, got {theta}")
+    _check_theta(theta)
     if not (y >= 0) or not math.isfinite(y):
         raise DomainError(f"statistic must be nonnegative, got {y}")
     if not math.isfinite(theta * y):
@@ -163,27 +180,24 @@ class ExpFamilyModel:
             raise DomainError(f"unknown model kind {self.kind!r}; choose from {EXPFAM_KINDS}")
         if self.side not in ("greater", "less"):
             raise DomainError(f"side must be 'greater' or 'less', got {self.side!r}")
+        if self.nuisance is None:  # one trial, unit variance, zero mean
+            object.__setattr__(self, "nuisance",
+                               0.0 if self.kind == "normal-variance-known-mean" else 1.0)
+        for name in ("n", "theta0", "nuisance"):  # the rules below assume finite values
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name}={getattr(self, name)} must be finite")
         if int(self.n) != self.n or self.n < 1:
             raise DomainError(f"sample size must be a positive integer, got {self.n}")
-        if self.nuisance is None:
-            defaults = {
-                "binomial-proportion": 1.0,
-                "normal-mean-known-variance": 1.0,
-                "normal-variance-known-mean": 0.0,
-            }
-            object.__setattr__(self, "nuisance", defaults[self.kind])
         if self.kind == "binomial-proportion":
             if not (0.0 < self.theta0 < 1.0):
                 raise DomainError(f"null proportion must lie in (0, 1), got {self.theta0}")
-            m = self.nuisance
-            if m != int(m) or m < 1:
-                raise DomainError(f"trial count must be a positive integer, got {m}")
-        elif self.kind == "normal-mean-known-variance":
-            if not (self.nuisance > 0):
-                raise DomainError(f"known variance must be positive, got {self.nuisance}")
-        else:
-            if not (self.theta0 > 0):
-                raise DomainError(f"null variance must be positive, got {self.theta0}")
+            if self.nuisance != int(self.nuisance) or self.nuisance < 1:
+                raise DomainError(f"trial count must be a positive integer, "
+                                  f"got {self.nuisance}")
+        elif self.kind == "normal-mean-known-variance" and not self.nuisance > 0:
+            raise DomainError(f"known variance must be positive, got {self.nuisance}")
+        elif self.kind == "normal-variance-known-mean" and not self.theta0 > 0:
+            raise DomainError(f"null variance must be positive, got {self.theta0}")
 
     # -- family components ------------------------------------------------
 

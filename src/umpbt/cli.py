@@ -46,7 +46,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reports usage problems instead of exiting."""
+    """ArgumentParser that reports usage problems instead of exiting, and wraps
+    usage at 78 columns, not at the terminal's width (argparse reads COLUMNS)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=functools.partial(argparse.HelpFormatter, width=78),
+                         **kwargs)
 
     def error(self, message: str):  # noqa: A003 - argparse API
         raise _UsageError(self, message)
@@ -220,8 +225,7 @@ def _cmd_curve(args) -> dict:
 
 def _cmd_ttest_demo(args) -> dict:
     theta_ts = _parse_float_list(args.theta_t, "--theta-t")
-    setting = TTestSetting(n=args.n, theta0=0.0, alpha_prior=0.0, beta_prior=0.0,
-                           gamma=args.gamma, sigma_true=1.0)
+    setting = TTestSetting(n=args.n, gamma=args.gamma)
     report = nonexistence_demo(setting, theta_ts, args.draws, args.seed)
     return {
         "n": setting.n,

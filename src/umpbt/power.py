@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import _TINIEST, ChiSqTestSpec, _check_df, _check_gamma, _log_bf_core
+from .bayes import _TINIEST, ChiSqTestSpec, _check_df, _check_gamma, _check_theta, _log_bf_core
 from .errors import DomainError
 from .solver import rejection_boundary, rejection_boundary_grid, solve_umpbt_chisq
 from .special import (NoncentralChiSq, _check_draws, noncentral_chisq_sf,
@@ -95,17 +95,17 @@ def dominance_check(gamma: float, df: float, theta_grid=None,
     default grids are 50 log-spaced alternatives over [theta*/100, 100 theta*]
     and the noncentralities 0, theta*/2, theta*, 2 theta* and 5 theta*.
     """
-    solution = solve_umpbt_chisq(ChiSqTestSpec(df=df, gamma=gamma))
-    theta_star = solution.theta_star
+    spec = ChiSqTestSpec(df=df, gamma=gamma)
+    if theta_t_grid is not None:  # building each law checks its theta_t before the solve
+        dists = [NoncentralChiSq(df, float(t)) for t in np.asarray(theta_t_grid, dtype=float)]
+    theta_star = solve_umpbt_chisq(spec).theta_star
 
     if theta_grid is None:
         theta_grid = np.geomspace(theta_star / 100.0, theta_star * 100.0, 50)
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_t_grid is None:
-        theta_t_grid = [0.0, theta_star / 2.0, theta_star, 2.0 * theta_star,
-                        5.0 * theta_star]
-    theta_t_grid = np.asarray(theta_t_grid, dtype=float)
-    if theta_grid.size == 0 or theta_t_grid.size == 0:
+        dists = [NoncentralChiSq(df, k * theta_star) for k in (0.0, 0.5, 1.0, 2.0, 5.0)]
+    if theta_grid.size == 0 or not dists:
         raise DomainError("dominance grids must be nonempty")
 
     all_thetas = np.append(theta_grid, theta_star)
@@ -114,13 +114,12 @@ def dominance_check(gamma: float, df: float, theta_grid=None,
 
     entries = []
     max_margin = -math.inf
-    for theta_t in theta_t_grid:
-        dist = NoncentralChiSq(df, float(theta_t))
+    for dist in dists:
         h_star = noncentral_chisq_sf(boundary_star, dist)
         for theta, bnd in zip(theta_grid, grid_boundaries):
             # a pure function: theta*'s own boundary gives h_star bit for bit
             h = noncentral_chisq_sf(float(bnd), dist)
-            entries.append((float(theta), float(theta_t), h))
+            entries.append((float(theta), dist.noncentrality, h))
             max_margin = max(max_margin, h - h_star)
 
     curve = PowerCurve(df=df, gamma=gamma, entries=tuple(entries))
@@ -130,7 +129,7 @@ def dominance_check(gamma: float, df: float, theta_grid=None,
         theta_star=theta_star,
         boundary=boundary_star,
         theta_grid=tuple(float(t) for t in theta_grid),
-        theta_t_grid=tuple(float(t) for t in theta_t_grid),
+        theta_t_grid=tuple(dist.noncentrality for dist in dists),
         max_margin=float(max_margin),
         passed=bool(max_margin <= DOMINANCE_MARGIN_TOL),
         curve=curve,
@@ -192,20 +191,15 @@ def mc_rejection_rate(theta, theta_t, gamma: float, df: float, n_draws: int,
     _check_gamma(gamma)
     thetas, theta_ts = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                            np.asarray(theta_t, dtype=float))
-    bad = thetas[~((thetas > 0) & np.isfinite(thetas))]
-    if bad.size:
-        raise DomainError(f"theta must be finite and positive, got {bad[0]}")
-    bad = theta_ts[~((theta_ts >= 0) & np.isfinite(theta_ts))]
-    if bad.size:
-        raise DomainError(f"theta_t must be finite and nonnegative, got {bad[0]}")
+    _check_theta(thetas)
     _check_draws(n_draws, seed)
     n_draws = operator.index(n_draws)
     log_gamma = math.log(gamma)
     distinct_ts, t_index = np.unique(theta_ts.ravel(), return_inverse=True)
+    dists = [NoncentralChiSq(df, float(value)) for value in distinct_ts]
     hits = np.zeros(thetas.shape, dtype=np.int64)
-    for k, value in enumerate(distinct_ts):
+    for k, dist in enumerate(dists):
         rows = np.flatnonzero(t_index == k)
-        dist = NoncentralChiSq(df, float(value))
         first = _first_rejection(sample_noncentral_chisq(dist, n_draws, seed),
                                  thetas.flat[rows], log_gamma, df)
         hits.flat[rows] = n_draws - first

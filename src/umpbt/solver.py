@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import (ChiSqTestSpec, ExpFamilyModel, _bessel_ratio, _check_df, _check_gamma,
-                    _log_bf_core)
+from .bayes import (ChiSqTestSpec, ExpFamilyModel, _bessel_ratio, _check_alpha, _check_df,
+                    _check_gamma, _check_theta, _log_bf_core)
 from .errors import DomainError, NoRootError
 from .special import chisq_cdf, chisq_quantile
 
@@ -67,7 +67,6 @@ _GRID_POINTS = 200
 _GRID_THETA_LO = 1e-4
 _REFINE_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
-_THETA_MAX = 1e150
 _BOUNDARY_MAX = 1e300
 
 
@@ -107,8 +106,7 @@ class CurvePoint:
 
     def __post_init__(self) -> None:
         _check_gamma(self.gamma)
-        if not (self.theta_star > 0):
-            raise DomainError(f"theta_star must be positive, got {self.theta_star}")
+        _check_theta(self.theta_star)
 
 
 def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -132,12 +130,7 @@ def _check_boundary_args(theta, gamma: float, df: float) -> None:
     """Validate a scalar or an array of alternatives with gamma and df."""
     _check_df(df)
     theta = np.asarray(theta, dtype=float)
-    # above 1e150 theta r(theta) ~ theta^2 / 4 nears overflow; the solve's
-    # grid ends at 10 (df + 2 log gamma), a dominance grid at 100 theta*
-    bad = theta[~((theta > 0) & (theta <= _THETA_MAX))]
-    if bad.size:
-        raise DomainError(f"noncentrality theta={float(bad[0])!r} must lie in "
-                          f"(0, {_THETA_MAX:g}]")
+    _check_theta(theta)
     _check_gamma(gamma)
     # 0F1(; b; x) <= e^(x / b) puts r(theta) above 2 df log gamma / theta;
     # past 1e300 the root's z^2 / theta nears overflow
@@ -451,8 +444,7 @@ def gamma_vs_df_curve(alphas, df_max: int) -> list[CurvePoint]:
     if not alphas:
         raise DomainError("alphas must be a nonempty list")
     for a in alphas:
-        if not (0.0 < a < 1.0):
-            raise DomainError(f"significance level must lie in (0, 1), got {a}")
+        _check_alpha(a)
     if int(df_max) != df_max or df_max < 1:
         raise DomainError(f"df_max must be a positive integer, got {df_max}")
 

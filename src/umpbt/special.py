@@ -74,6 +74,12 @@ class LogValue:
         return math.exp(self.log_magnitude)
 
 
+def _check_dist_df(df: float) -> None:
+    """The one df rule of the chi-squared distributions: positive and finite."""
+    if not 0.0 < df < math.inf:
+        raise DomainError(f"degrees of freedom df={df} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class NoncentralChiSq:
     """Noncentral chi-squared law with real degrees of freedom.
@@ -87,10 +93,9 @@ class NoncentralChiSq:
     noncentrality: float
 
     def __post_init__(self) -> None:
-        if not (self.df > 0) or not math.isfinite(self.df):
-            raise DomainError(f"degrees of freedom must be positive, got {self.df}")
+        _check_dist_df(self.df)
         if not 0.0 <= self.noncentrality <= _MAX_NONCENTRALITY:
-            raise DomainError(f"noncentrality must lie in [0, {_MAX_NONCENTRALITY:g}], "
+            raise DomainError(f"noncentrality theta_t must lie in [0, {_MAX_NONCENTRALITY:g}], "
                               f"got {self.noncentrality:g}")
 
 
@@ -279,8 +284,7 @@ def log_gamma_fn(x: float) -> float:
 
 def chisq_cdf(y: float, df: float) -> float:
     """Central chi-squared CDF, P(Y <= y) for Y ~ chi2(df)."""
-    if not (df > 0):
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
+    _check_dist_df(df)
     if y < 0 or not math.isfinite(y):
         raise DomainError(f"chi-squared CDF argument must be nonnegative, got {y}")
     p = float(_sp.gammainc(df / 2.0, y / 2.0))
@@ -303,8 +307,7 @@ def chisq_quantile(p: float, df: float) -> float:
     then Newton steps polish it until the CDF residual drops below 1e-12
     (falling back to bisection whenever a Newton step would leave the bracket).
     """
-    if not (df > 0):
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
+    _check_dist_df(df)
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile probability must lie in (0, 1), got {p}")
 

@@ -47,6 +47,12 @@ def _check_mean(value: float, name: str) -> None:
         raise DomainError(f"{name}={value} must lie in [-1e100, 1e100]")
 
 
+def _check_scale(u_stat: float) -> None:
+    """The one rule for the scale statistic U: positive and finite."""
+    if not 0.0 < u_stat < math.inf:
+        raise DomainError(f"scale statistic U={u_stat} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class TTestSetting:
     """Configuration of the t-test demonstration.
@@ -58,7 +64,9 @@ class TTestSetting:
     theta0, so |c - theta0| <= 6.4e100 g/(g - 1) and |theta_t - c| <= 8.4e100
     g/(g - 1): r <= n ((c - theta0)/sigma)^2 and mu^2 = n ((theta_t - c)/sigma)^2
     of :func:`_acceptance_prob` stay finite for sigma >= 1e-53 sqrt(n) g/(g - 1),
-    and sigma <= 1e100 keeps the Monte Carlo's U and n (ybar - theta)^2 in range.
+    and sigma <= 1e100 with beta_prior <= 1e300 keeps the Monte Carlo's
+    U = sigma^2 chi2 + 2 beta_prior and n (ybar - theta)^2 in range.  Each
+    prior parameter lies in [0, 1e300].
     """
 
     n: int
@@ -69,11 +77,12 @@ class TTestSetting:
     sigma_true: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 2:
+        if not (2 <= self.n < math.inf and int(self.n) == self.n):
             raise DomainError(f"sample size must be an integer >= 2, got {self.n}")
         _check_mean(self.theta0, "null mean theta0")
-        if self.alpha_prior < 0 or self.beta_prior < 0:
-            raise DomainError("inverse-gamma prior parameters must be nonnegative")
+        for name in ("alpha_prior", "beta_prior"):
+            if not 0.0 <= getattr(self, name) <= 1e300:
+                raise DomainError(f"{name}={getattr(self, name)} must lie in [0, 1e300]")
         _check_gamma(self.gamma)
         g_minus_1, _ = _center_shift(self.theta0, self)
         sigma_lo = 1e-53 * math.sqrt(self.n) * (1.0 + g_minus_1) / g_minus_1
@@ -135,8 +144,7 @@ class NonexistenceReport:
 def t_log_bf(y: float, theta: float, u_stat: float, setting: TTestSetting) -> float:
     """Log Bayes factor (n/2 + alpha) log[(U + n(y-theta0)^2)/(U + n(y-theta)^2)]."""
     _check_mean(theta, "alternative mean theta")
-    if not (u_stat > 0):
-        raise DomainError(f"scale statistic U must be positive, got {u_stat}")
+    _check_scale(u_stat)
     return float(_t_log_bf_array(np.array([y]), np.array([u_stat]), theta, setting)[0])
 
 
@@ -160,8 +168,7 @@ def t_region(theta: float, u_stat: float, setting: TTestSetting) -> QuadraticReg
     even where g rounds to 1.
     """
     _check_mean(theta, "alternative mean theta")
-    if not (u_stat > 0):
-        raise DomainError(f"scale statistic U must be positive, got {u_stat}")
+    _check_scale(u_stat)
     g_minus_1, shift = _center_shift(theta, setting)
     disc = shift * shift / (1.0 + g_minus_1) - u_stat / setting.n
     if disc < 0.0:

@@ -508,6 +508,15 @@ class TestOutputContract:
         assert floats
         assert all(float(f"{v:.10g}") == v for v in floats)
 
+    def test_usage_error_does_not_follow_the_terminal_width(self, monkeypatch):
+        # argparse wraps at COLUMNS unless the formatter's width is fixed
+        outputs = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            outputs.append(invoke(["chisq", "--df", "6"]))
+        assert outputs[0][0] == 1
+        assert outputs[0] == outputs[1]
+
     def test_numbers_use_ten_significant_digits(self):
         _, out, _ = invoke(["chisq", "--df", "6", "--alpha", "0.05"])
         record, _ = parse_plain(out)

@@ -221,7 +221,10 @@ class TestMcRejectionRate:
 
         n_draws, seed = (100, n_draws) if name == "seed" else (n_draws, 1)
         monkeypatch.setattr(power, "sample_noncentral_chisq", sampler)
-        with pytest.raises(DomainError, match=f"^{name} must be"):
+        # theta and theta_t fail with their owners' messages
+        message = {"theta": "noncentrality theta=",
+                   "theta_t": "noncentrality theta_t must"}.get(name, f"{name} must be")
+        with pytest.raises(DomainError, match=f"^{message}"):
             mc_rejection_rate(theta, theta_t, 3.0, 4.0, n_draws, seed=seed)
 
     def test_validation(self):

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from umpbt import (
@@ -15,6 +17,7 @@ from umpbt import (
     NoRootError,
     NoncentralChiSq,
     SolverError,
+    chisq_cdf,
     chisq_quantile,
     expfam_log_bf,
     gamma_vs_df_curve,
@@ -27,6 +30,18 @@ from umpbt import (
     solve_umpbt_expfam,
     solver,
 )
+
+# The properties below run where README's Caveats put full precision: df up
+# to 1000, where log g rounds to ~1e-12 absolute, gamma from 1.01 (log gamma
+# far above that rounding), and sizes up to 0.9 P(chi2_df > df), away from
+# the bound where the matched gamma rounds to 1.
+_PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+_DFS = st.floats(0.5, 1000.0)
+_ALPHA_SHARES = st.floats(1e-12, 0.9)  # of P(chi2_df > df), at least 0.3 up to df 1000
+
+
+def _alpha(df, share):
+    return share * (1.0 - chisq_cdf(df, df))
 
 
 class TestRejectionBoundary:
@@ -237,6 +252,18 @@ class TestSolveChiSq:
         with pytest.raises(DomainError):
             solve_umpbt_chisq(ChiSqTestSpec(df=6.0, alpha=0.05))
 
+    @_PROPERTY
+    @given(df=_DFS, gamma=st.floats(1.01, 1e6),
+           offsets=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=8))
+    def test_boundary_is_least_at_theta_star_property(self, df, gamma, offsets):
+        # r(theta) >= r(theta*), both from one grid call; log g's rounding
+        # (1e-12 absolute at df 1000) let nearby theta undercut r(theta*) by
+        # up to 1.8e-13 relative on a 625-point (df, gamma) scan, at the
+        # exact root as at the golden section's theta*
+        theta_star = solve_umpbt_chisq(ChiSqTestSpec(df=df, gamma=gamma)).theta_star
+        r = rejection_boundary_grid(theta_star * (1.0 + np.array([0.0, *offsets])), gamma, df)
+        assert r[1:].min() >= r[0] * (1.0 - 1e-12)
+
 
 class TestMatchGammaToAlpha:
     def test_df6_alpha_05(self):
@@ -258,6 +285,28 @@ class TestMatchGammaToAlpha:
                 sol = match_gamma_to_alpha(ChiSqTestSpec(df=df, alpha=alpha))
                 size = noncentral_chisq_sf(sol.boundary, NoncentralChiSq(df, 0.0))
                 assert abs(size - alpha) <= 1e-6
+
+    @_PROPERTY
+    @given(df=_DFS, share=_ALPHA_SHARES)
+    def test_size_property(self, df, share):
+        # chisq_quantile stops at a CDF residual of 1e-12, which bounds the
+        # size's error; 2,300 random (df, alpha) reached 9.99e-13
+        alpha = _alpha(df, share)
+        sol = match_gamma_to_alpha(ChiSqTestSpec(df=df, alpha=alpha))
+        size = noncentral_chisq_sf(sol.boundary, NoncentralChiSq(df, 0.0))
+        assert abs(size - alpha) <= 1e-12 + 2.0**-52
+
+    @_PROPERTY
+    @given(df=_DFS, shares=st.tuples(_ALPHA_SHARES, _ALPHA_SHARES))
+    def test_gamma_monotone_in_alpha_property(self, df, shares):
+        # the quantile resolves 1 - alpha only to a CDF residual of 1e-12, so
+        # sizes closer than 2e-12 can invert their critical values and gamma:
+        # by up to 2.3e-13 relative over 9,100 close pairs (CHANGES FOUND);
+        # 4,800 pairs at least 2e-12 apart inverted none
+        lo, hi = sorted(_alpha(df, share) for share in shares)
+        gamma_lo, gamma_hi = (match_gamma_to_alpha(ChiSqTestSpec(df=df, alpha=a)).gamma
+                              for a in (lo, hi))
+        assert gamma_hi <= gamma_lo * (1.0 + 1e-12)
 
     def test_consistency_with_direct_solve(self):
         """Re-deriving the alternative at the matched threshold lands on the

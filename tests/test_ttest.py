@@ -344,6 +344,10 @@ class TestTTestSetting:
             TTestSetting(n=10, gamma=3.0, sigma_true=0.0)
         with pytest.raises(DomainError):
             TTestSetting(n=10, gamma=3.0, alpha_prior=-1.0)
+        # int() of these raised OverflowError and ValueError
+        for n in (math.inf, math.nan):
+            with pytest.raises(DomainError, match=r"^sample size must be an integer >= 2"):
+                TTestSetting(n=n, gamma=3.0)
 
     def test_gamma_n_exceeds_one(self):
         """gamma_n - 1 comes from expm1, so it stays positive, and accurate,

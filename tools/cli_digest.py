@@ -8,16 +8,16 @@ Each case runs ``umpbt.cli.run`` in process on the source tree and feeds
 its argv, exit status, stdout and stderr to the hash.  The list covers
 every subcommand in plain and ``--json`` form, two error cases, and the
 CSV that ``curve --df-max 30`` writes.  The checkout and temporary paths
-are masked and usage lines wrap at 80 columns, so equal digests at two
-commits mean byte-identical CLI output on this list wherever the tree
-sits.  It prints the digest and sets no threshold.
+are masked, and the CLI wraps usage lines at a fixed width whatever
+``COLUMNS`` says, so equal digests at two commits mean byte-identical CLI
+output on this list wherever the tree sits and whatever the terminal.  It
+prints the digest and sets no threshold.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -63,7 +63,6 @@ def _feed(digest, argv, tmp="<tmp>") -> None:
 
 
 def main() -> None:
-    os.environ["COLUMNS"] = "80"  # argparse wraps usage lines at the terminal width
     digest = hashlib.sha256()
     for argv in COMMANDS:
         _feed(digest, argv)
