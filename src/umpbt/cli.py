@@ -108,8 +108,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise DomainError(f"grid spec {spec!r} has non-numeric fields") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise DomainError(f"grid spec {spec!r} needs finite endpoints")
-    if count < 1:
-        raise DomainError(f"grid spec {spec!r} needs at least one point")
+    if not 1 <= count <= 2**20:  # before linspace allocates: 8 MiB a grid at most
+        raise DomainError(f"grid spec {spec!r} needs a point count in [1, 2**20]")
     if len(parts) == 4:
         if parts[3] != "log":
             raise DomainError(f"grid spec {spec!r}: unknown mode {parts[3]!r}")

@@ -192,19 +192,14 @@ def _parse_count(token: str, where: str) -> int:
     return value
 
 
-def _expected_counts(table: ContingencyTable) -> np.ndarray:
-    counts = table.counts.astype(float)
-    return np.outer(counts.sum(axis=1), counts.sum(axis=0)) / counts.sum()
-
-
 def pearson_statistic(table: ContingencyTable) -> tuple[float, int]:
     """Pearson chi-squared statistic and its degrees of freedom.
 
     Sum of (observed - expected)^2 / expected with expected counts from the
     product of the margins; no continuity correction.
     """
-    expected = _expected_counts(table)
     observed = table.counts.astype(float)
+    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / observed.sum()
     statistic = float(((observed - expected) ** 2 / expected).sum())
     r, c = table.shape
     return statistic, (r - 1) * (c - 1)
@@ -223,7 +218,10 @@ def independence_bf(table: ContingencyTable, alpha: float = 0.05) -> Independenc
     statistic, df = pearson_statistic(table)
     solution = match_gamma_to_alpha(ChiSqTestSpec(df=float(df), alpha=alpha))
     log_bf = log_bf_ncchisq(statistic, solution.theta_star, float(df))
-    expected = _expected_counts(table)
+    counts = table.counts.astype(float)
+    # rounded products and quotients of nonnegative numbers are monotone, so
+    # this is the least expected count of pearson_statistic's table, bit for bit
+    min_expected = float(counts.sum(axis=1).min() * counts.sum(axis=0).min() / counts.sum())
     return IndependenceResult(
         statistic=statistic,
         df=df,
@@ -231,6 +229,6 @@ def independence_bf(table: ContingencyTable, alpha: float = 0.05) -> Independenc
         gamma=solution.gamma,
         theta_star=solution.theta_star,
         log_bf=log_bf,
-        min_expected=float(expected.min()),
+        min_expected=min_expected,
         grand_total=table.grand_total,
     )

@@ -445,7 +445,8 @@ def gamma_vs_df_curve(alphas, df_max: int) -> list[CurvePoint]:
         raise DomainError("alphas must be a nonempty list")
     for a in alphas:
         _check_alpha(a)
-    if int(df_max) != df_max or df_max < 1:
+    _check_df(df_max)  # before the first match: the last df must be a valid one
+    if int(df_max) != df_max:
         raise DomainError(f"df_max must be a positive integer, got {df_max}")
 
     points: list[CurvePoint] = []

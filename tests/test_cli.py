@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from umpbt import ChiSqTestSpec, NoRootError, cli, solve_umpbt_chisq
+from umpbt import ChiSqTestSpec, DomainError, NoRootError, cli, solve_umpbt_chisq
 from umpbt.cli import render_plain, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -289,6 +289,14 @@ class TestExpfamCommand:
         assert err.startswith("error: domain:")
         assert "gamma must stay below 2" in err
 
+    def test_unresolvable_theta_star_exits_one(self):
+        code, out, err = invoke(["expfam", "--model", "normal-variance-known-mean",
+                                 "--theta0", "1", "--n", "1", "--gamma", "1e300",
+                                 "--side", "less"])
+        assert code == 1 and out == ""
+        assert err == ("error: domain: theta* for gamma=1e+300 lies beyond what double "
+                       "precision resolves on the 'less' side of theta0=1.0\n")
+
 
 class TestPowerCommand:
     def test_rows_and_verdict(self):
@@ -375,6 +383,26 @@ class TestPowerCommand:
         assert err.startswith("error: domain:")
         assert repr(spec) in err
 
+    @pytest.mark.parametrize("spec", ["1:2:1000000000000000000",
+                                      "1:2:1000000000000000000:log"])
+    def test_grid_count_beyond_the_bound_exits_one(self, monkeypatch, spec):
+        # 1e18 points would take 8 EB; the rule fires before any allocation
+        def allocate(*args, **kwargs):
+            raise AssertionError("allocated before validating")
+
+        monkeypatch.setattr(cli.np, "linspace", allocate)
+        monkeypatch.setattr(cli.np, "geomspace", allocate)
+        code, out, err = invoke(["power", "--df", "6", "--gamma", "3", "--theta-grid", spec])
+        assert code == 1 and out == ""
+        assert err == f"error: domain: grid spec {spec!r} needs a point count in [1, 2**20]\n"
+
+    @pytest.mark.parametrize("mode", ["", ":log"])
+    def test_grid_count_bound(self, mode):
+        assert cli._parse_grid(f"1:2:{2**20}{mode}").shape == (2**20,)
+        for count in (0, 2**20 + 1):
+            with pytest.raises(DomainError, match=r"needs a point count in \[1, 2\*\*20\]$"):
+                cli._parse_grid(f"1:2:{count}{mode}")
+
     def test_noncentrality_beyond_the_bound_exits_one(self):
         code, out, err = invoke(["power", "--df", "6", "--gamma", "3.46", "--theta-grid",
                                  "7:7:1", "--theta-t-grid", "1e300:1e300:1"])
@@ -405,6 +433,13 @@ class TestPowerCommand:
 
 
 class TestCurveCommand:
+    def test_df_max_beyond_the_df_rule_exits_one(self, tmp_path):
+        code, out, err = invoke(["curve", "--df-max", "100000001",
+                                 "-o", str(tmp_path / "curve.csv")])
+        assert code == 1 and out == ""
+        assert err == "error: domain: degrees of freedom df=100000001 must lie in (0, 1e8]\n"
+        assert not (tmp_path / "curve.csv").exists()
+
     def test_writes_plot_ready_csv(self, tmp_path):
         out_path = tmp_path / "curve.csv"
         code, out, _ = invoke(["curve", "--alphas", "0.05,0.01", "--df-max", "4",

@@ -224,3 +224,20 @@ class TestIndependenceBf:
             result = independence_bf(table, alpha=0.05)
             assert result.gamma == matched.gamma
             assert (result.bf > result.gamma) == (result.statistic > critical)
+
+    def test_min_expected_is_the_expected_tables_least_entry(self):
+        """(least row total x least column total) / grand total is the least
+        entry of the outer-product table bit for bit, since rounded products
+        and quotients of nonnegative numbers are monotone."""
+        rng = np.random.default_rng(24)
+        for _ in range(400):
+            shape = tuple(rng.integers(2, 6, size=2))
+            scale = int(10.0 ** rng.uniform(0.0, 12.0))
+            counts = rng.integers(0, scale + 1, size=shape)
+            counts[rng.random(shape) < 0.3] = 0
+            counts[:, 0] += 1
+            counts[0, :] += 1
+            observed = counts.astype(float)
+            expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / observed.sum()
+            result = independence_bf(ContingencyTable(counts=counts))
+            assert result.min_expected == expected.min()

@@ -12,10 +12,13 @@ from umpbt import power, special
 from umpbt import (
     ChiSqTestSpec,
     DomainError,
+    NoncentralChiSq,
     PowerCurve,
     dominance_check,
     match_gamma_to_alpha,
     mc_rejection_rate,
+    noncentral_chisq_sf,
+    rejection_boundary_grid,
     rejection_probability,
 )
 
@@ -72,6 +75,31 @@ class TestDominanceCheck:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             dominance_check(3.0, 2.0, theta_grid=[], theta_t_grid=[0.0])
+
+    # the default grids, and a descending grid that holds a repeat
+    GRIDS = [(3.46, 6.0, None, None), (3.0, 2.0, [9.0, 4.0, 4.0, 0.5], [6.0, 0.0, 1.5])]
+
+    @pytest.mark.parametrize("gamma, df, theta_grid, theta_t_grid", GRIDS)
+    def test_entries_are_the_survival_function_at_the_grid_boundaries(
+            self, gamma, df, theta_grid, theta_t_grid):
+        report = dominance_check(gamma, df, theta_grid, theta_t_grid)
+        thetas = np.append(report.theta_grid, report.theta_star)
+        boundaries = rejection_boundary_grid(thetas, gamma, df)
+        assert report.boundary == boundaries[-1]
+        boundary_of = dict(zip(report.theta_grid, boundaries[:-1].tolist()))
+        assert len(report.curve.entries) == len(report.theta_grid) * len(report.theta_t_grid)
+        for theta, theta_t, h in report.curve.entries:
+            assert h == noncentral_chisq_sf(boundary_of[theta], NoncentralChiSq(df, theta_t))
+
+    @pytest.mark.parametrize("gamma, df, theta_grid, theta_t_grid", GRIDS)
+    def test_max_margin_is_the_largest_entry_less_theta_stars_h(
+            self, gamma, df, theta_grid, theta_t_grid):
+        report = dominance_check(gamma, df, theta_grid, theta_t_grid)
+        h_star = {t: noncentral_chisq_sf(report.boundary, NoncentralChiSq(df, t))
+                  for t in report.theta_t_grid}
+        margins = [h - h_star[theta_t] for _, theta_t, h in report.curve.entries]
+        assert report.max_margin == max(margins)
+        assert report.passed == (max(margins) <= power.DOMINANCE_MARGIN_TOL)
 
     def test_power_curve_validates_probabilities(self):
         with pytest.raises(DomainError):

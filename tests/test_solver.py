@@ -620,6 +620,17 @@ class TestSolveExpFamily:
         assert deep.theta_star == pytest.approx(math.exp(-1.0) * 1e-300,
                                                 rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("kind, theta0, side, nuisance", [
+        ("normal-variance-known-mean", 1.0, "less", None),
+        ("normal-mean-known-variance", 0.0, "greater", 1e308),
+    ])
+    def test_theta_star_beyond_double_precision(self, kind, theta0, side, nuisance):
+        model = ExpFamilyModel(kind=kind, theta0=theta0, n=1, side=side, nuisance=nuisance)
+        with pytest.raises(DomainError, match=(
+                rf"^theta\* for gamma=1e\+300 lies beyond what double precision "
+                rf"resolves on the '{side}' side of theta0={theta0}$")):
+            solve_umpbt_expfam(model, 1e300)
+
     def test_boundary_free_of_cancellation_near_theta0(self):
         """theta* sits 9e-11 below theta0 = 3: the boundary must be n theta*,
         below n theta0, not a difference of nearly equal A and eta values."""
@@ -657,6 +668,15 @@ class TestGammaVsDfCurve:
     def test_failure_carries_offending_pair(self):
         with pytest.raises(DomainError, match=r"df=1, alpha=0.9"):
             gamma_vs_df_curve([0.9], 2)
+
+    @pytest.mark.parametrize("df_max", [10**8 + 1, 0, -3, math.nan, math.inf])
+    def test_df_max_outside_the_df_rule_fails_before_any_match(self, monkeypatch, df_max):
+        def match(spec):
+            raise AssertionError("matched before validating")
+
+        monkeypatch.setattr(solver, "match_gamma_to_alpha", match)
+        with pytest.raises(DomainError, match=r"^degrees of freedom df=.* must lie in \(0, 1e8\]$"):
+            gamma_vs_df_curve([0.05], df_max)
 
     def test_validation(self):
         with pytest.raises(DomainError):
