@@ -33,6 +33,9 @@ _TINIEST = 5e-324
 # gamma's scale past this: at gamma 3, (r(theta*) - df) / sqrt(2 df) is
 # 1.4824 at df 1e8 against its limit 1.4823, but 2.41 at 1e10
 _DF_MAX = 1e8
+# 100 times the largest df a sweep of chisq, bf and power saw fail, 8.9e-13;
+# the Bessel order df/2 - 1 rounds to -1 below 1.1e-16
+_DF_MIN = 1e-10
 # above it theta r(theta) ~ theta^2 / 4 nears overflow; the solve's grid
 # ends at 10 (df + 2 log gamma), a dominance grid at 100 theta*
 _THETA_MAX = 1e150
@@ -40,8 +43,8 @@ _THETA_MAX = 1e150
 
 def _check_df(df: float) -> None:
     """The one df rule of every chi-squared entry point."""
-    if not (0 < df <= _DF_MAX):
-        raise DomainError(f"degrees of freedom df={df} must lie in (0, 1e8]")
+    if not (_DF_MIN <= df <= _DF_MAX):
+        raise DomainError(f"degrees of freedom df={df} must lie in [1e-10, 1e8]")
 
 
 def _check_gamma(gamma: float) -> None:
@@ -103,9 +106,13 @@ def _log_bf_core(y: np.ndarray, theta: np.ndarray, df: float) -> np.ndarray:
                       + (1 - df/2) log z + log I_{df/2-1}(z),   z = sqrt(theta y)
 
     A product theta y that underflows to 0 is taken as the least subnormal,
-    where the value is already -theta/2, the limit at z = 0.
+    where the value is already -theta/2, the limit at z = 0.  Float y and
+    theta return a float64 with the bits of one-element arrays: the same
+    operations in the same order, sqrt being correctly rounded either way.
     """
-    z = np.sqrt(np.maximum(theta * y, _TINIEST))
+    prod = theta * y
+    z = (math.sqrt(max(prod, _TINIEST)) if isinstance(prod, float)
+         else np.sqrt(np.maximum(prod, _TINIEST)))
     order = df / 2.0 - 1.0
     return (
         math.lgamma(df / 2.0)
@@ -135,7 +142,7 @@ def log_bf_ncchisq(y: float, theta: float, df: float) -> float:
     _check_ncchisq_args(y, theta, df)
     if y == 0.0:
         return -theta / 2.0
-    return float(_log_bf_core(np.array([float(y)]), np.array([float(theta)]), df)[0])
+    return float(_log_bf_core(float(y), float(theta), df))
 
 
 def dlogbf_dy(y: float, theta: float, df: float) -> float:
@@ -148,8 +155,7 @@ def dlogbf_dy(y: float, theta: float, df: float) -> float:
     _check_ncchisq_args(y, theta, df)
     if y == 0.0:
         return theta / (2.0 * df)
-    z = np.array([math.sqrt(theta * y)])
-    return 0.5 * math.sqrt(theta / y) * float(_bessel_ratio(z, df)[0])
+    return 0.5 * math.sqrt(theta / y) * float(_bessel_ratio(math.sqrt(theta * y), df))
 
 
 def _bessel_ratio(z: np.ndarray, df: float) -> np.ndarray:

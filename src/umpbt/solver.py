@@ -127,16 +127,16 @@ def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
 
 
 def _check_boundary_args(theta, gamma: float, df: float) -> None:
-    """Validate a scalar or an array of alternatives with gamma and df."""
+    """Validate a float or an array of alternatives with gamma and df."""
     _check_df(df)
-    theta = np.asarray(theta, dtype=float)
     _check_theta(theta)
     _check_gamma(gamma)
     # 0F1(; b; x) <= e^(x / b) puts r(theta) above 2 df log gamma / theta;
     # past 1e300 the root's z^2 / theta nears overflow
     theta_min = 2.0 * df * math.log(gamma) / _BOUNDARY_MAX
-    bad = theta[theta < theta_min]
-    if bad.size:
+    low = theta < theta_min  # a bool for a float, else numpy's
+    if low if isinstance(low, bool) else low.any():
+        bad = np.asarray(theta, dtype=float)[np.asarray(low)]
         raise DomainError(f"noncentrality theta={float(bad[0])!r} must be at least "
                           f"{theta_min:.6g}, below which the boundary passes "
                           f"{_BOUNDARY_MAX:g}")
@@ -176,10 +176,9 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
     """
     _check_boundary_args(theta, gamma, df)
     theta, log_gamma = float(theta), math.log(gamma)
-    theta_arr = np.array([theta])
 
     def f(y: float) -> float:
-        return float(_log_bf_core(np.array([y]), theta_arr, df)[0]) - log_gamma
+        return float(_log_bf_core(y, theta, df)) - log_gamma
 
     # a closed-form upper end, held finite, grown fourfold only when brentq
     # finds f < 0 at both ends; (z_up * z_up) rounds as numpy's square did,
@@ -217,7 +216,10 @@ def _z_root(f, z: np.ndarray, what: str) -> np.ndarray:
             bad = float(z[~np.isfinite(value)][0])
             raise NoRootError(f"no root in z for {what}: non-finite value at z={bad!r}")
         lo, hi = np.where(value < 0.0, z, lo), np.where(value < 0.0, hi, z)
-        step = value / slope
+        # a slope that rounds to 0 (theta*'s, next to gamma = 1 at small df)
+        # gives a step of inf or NaN, which leaves the bracket: bisection
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = value / slope
         small, halves = np.abs(step) <= 1e-8 * z, 2.0 * np.abs(step) <= last
         done = (np.abs(step) <= 4.0 * _EPS * z) | (small & ~halves)
         keep = done | (lo < z - step) & (z - step <= hi) & (halves | small)
@@ -323,10 +325,8 @@ def _matched_maximum(y_alpha: float, df: float, log_bf_core) -> tuple[float, flo
     afresh.  128 keys hold the pairs that table tests repeat (28 in a
     ``contingency`` round), not a df sweep's (480 in a ``curve`` round).  A
     failure is not stored."""
-    y_arr = np.array([y_alpha])
-
     def neg_log_bf(theta: float) -> float:
-        return -float(log_bf_core(y_arr, np.array([theta]), df)[0])
+        return -float(log_bf_core(y_alpha, theta, df))
 
     return _minimum_at_root(neg_log_bf, _matched_z_root(y_alpha, df),
                             4.0 * y_alpha + df + 10.0, f"y_alpha={y_alpha}, df={df}")

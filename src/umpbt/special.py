@@ -149,21 +149,24 @@ def _log_bessel_series(order: float, z: np.ndarray) -> np.ndarray:
     value.
 
     A single value, which each golden-section and root-finding step of the
-    solver asks for, takes a lane of its own: one 1-D row of terms reduced
-    by ``np.maximum.reduce`` and ``np.add.reduce`` on numpy scalars, without
-    the workspace, the 2-D broadcasts or the loop.  Its bits equal those of
-    the blocked path: the elementwise ufuncs give the same result on a
-    scalar, a row or a block, and the pairwise sum of one row is the sum the
-    blocked path takes along each of its rows.
+    solver asks for, takes a lane of its own: a float z returns a float64
+    from one 1-D row of terms reduced by ``np.maximum.reduce`` and
+    ``np.add.reduce`` on numpy scalars, without the workspace, the 2-D
+    broadcasts or the loop; a one-element array takes the lane too.  Its
+    bits equal those of the blocked path: the elementwise ufuncs give the
+    same result on a scalar, a row or a block, and the pairwise sum of one
+    row is the sum the blocked path takes along each of its rows.
     """
-    lane = z.size == 1
-    z_max = float(z[0]) if lane else float(z.max())
+    one = isinstance(z, float)
+    if not one and z.size == 1:
+        return _log_bessel_series(order, float(z[0])).reshape(1)
+    z_max = z if one else float(z.max())
     n_terms = _series_terms_needed(order, z_max)
     powers, log_gamma_order, log_factorial = [
         column[:n_terms] for column in _series_table(order)
     ]
-    if lane:
-        terms = np.log(z_max / 2.0) * powers
+    if one:
+        terms = np.log(z / 2.0) * powers
         terms -= log_gamma_order
         terms -= log_factorial
         peak = np.maximum.reduce(terms)
@@ -173,7 +176,7 @@ def _log_bessel_series(order: float, z: np.ndarray) -> np.ndarray:
         np.exp(terms, out=terms)
         np.copyto(terms, 0.0, where=top)
         s = np.add.reduce(terms) / m
-        return (np.log1p(s) + np.log(m) + peak).reshape(1)
+        return np.log1p(s) + np.log(m) + peak
 
     log_half = np.log(z / 2.0)
     out = np.empty_like(log_half)
@@ -232,19 +235,26 @@ def log_bessel_i_array(order: float, z: np.ndarray) -> np.ndarray:
     Requires ``order > -1`` and elementwise ``z >= 0``; the branch rule is
     stated at ``_SERIES_ORDER_MAX``.  ``z = 0`` maps to the series limit:
     0 for order 0, ``-inf`` for positive order, ``+inf`` for order in (-1, 0).
+    A float z returns a float64, as a numpy ufunc does, with the bits of a
+    one-element array: the series takes it in its one-value lane, and any
+    other branch as a one-element array.
     """
     if not (order > -1.0):
         raise DomainError(f"Bessel order must exceed -1, got {order}")
-    z = np.asarray(z, dtype=float)
+    one = isinstance(z, float)
+    z = z if one else np.asarray(z, dtype=float)
     series_fits = order <= _SERIES_ORDER_MAX
-    if z.size:
-        lo, hi = z.min(), z.max()
+    if one or z.size:
+        lo, hi = (z, z) if one else (z.min(), z.max())
         if not (lo >= 0.0 and math.isfinite(hi)):
             raise DomainError("Bessel argument must be finite and nonnegative")
         if series_fits and lo > 0.0 and hi <= _SERIES_Z_MAX:
             # every element takes the series, which the masks below would
             # hand the same values in the same order
-            return _log_bessel_series(order, z.ravel()).reshape(z.shape)
+            return (_log_bessel_series(order, z) if one
+                    else _log_bessel_series(order, z.ravel()).reshape(z.shape))
+        if one:
+            return log_bessel_i_array(order, np.array([z]))[0]
 
     out = np.empty_like(z)
     zero = z == 0.0
@@ -266,8 +276,7 @@ def log_bessel_i_array(order: float, z: np.ndarray) -> np.ndarray:
 
 def log_bessel_i(order: float, z: float) -> LogValue:
     """log I_order(z) for real order > -1 and z >= 0, never overflowing."""
-    value = log_bessel_i_array(order, np.array([float(z)]))
-    return LogValue(float(value[0]))
+    return LogValue(float(log_bessel_i_array(order, float(z))))
 
 
 def log_gamma_fn(x: float) -> float:

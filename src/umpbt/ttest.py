@@ -145,17 +145,17 @@ def t_log_bf(y: float, theta: float, u_stat: float, setting: TTestSetting) -> fl
     """Log Bayes factor (n/2 + alpha) log[(U + n(y-theta0)^2)/(U + n(y-theta)^2)]."""
     _check_mean(theta, "alternative mean theta")
     _check_scale(u_stat)
-    return float(_t_log_bf_array(np.array([y]), np.array([u_stat]), theta, setting)[0])
+    return float(_t_log_bf_array(y, u_stat, theta, setting))
 
 
 def _t_log_bf_array(ybar: np.ndarray, u_stat: np.ndarray, theta: float,
                     setting: TTestSetting) -> np.ndarray:
+    """Arrays, or floats with their bits: squares are products, as numpy's
+    ``** 2`` of an array is, where a float's ``** 2`` calls pow."""
     n, theta0 = setting.n, setting.theta0
     power = n / 2.0 + setting.alpha_prior
-    return power * (
-        np.log(u_stat + n * (ybar - theta0) ** 2)
-        - np.log(u_stat + n * (ybar - theta) ** 2)
-    )
+    null, alt = ybar - theta0, ybar - theta
+    return power * (np.log(u_stat + n * (null * null)) - np.log(u_stat + n * (alt * alt)))
 
 
 def t_region(theta: float, u_stat: float, setting: TTestSetting) -> QuadraticRegion:

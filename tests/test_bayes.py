@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from umpbt import (
@@ -15,6 +17,8 @@ from umpbt import (
     expfam_log_bf,
     log_bf_ncchisq,
 )
+from umpbt.bayes import _TINIEST, _bessel_ratio, _log_bf_core
+from umpbt.special import _SERIES_ORDER_MAX, log_bessel_i, log_bessel_i_array
 
 
 class TestNoncentralChiSqBayesFactor:
@@ -115,6 +119,98 @@ class TestBayesFactorDerivative:
                     assert dlogbf_dy(float(y), float(theta), df) > 0.0
 
 
+def _bits(value) -> int:
+    return int(np.float64(value).view(np.int64))
+
+
+def _order_df(order: float) -> float:
+    """The df whose Bessel order df/2 - 1 is exactly ``order``."""
+    df = 2.0 * (order + 1.0)
+    assert df / 2.0 - 1.0 == order
+    return df
+
+
+_ABOVE_ORDER_MAX = math.nextafter(_SERIES_ORDER_MAX, math.inf)
+_FLOAT_ROUTE = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+# log-uniform over [0.5, 1e8]: the series runs below df 23217, the uniform
+# expansion above it and wherever z > 700
+_DFS = st.floats(math.log10(0.5), 8.0).map(lambda e: min(10.0 ** e, 1e8))
+
+
+class TestFloatRoute:
+    """A float passed to the log g and log-Bessel kernels returns a float64
+    with the bits of a one-element array, on the series and the uniform
+    branch alike, and the public one-value functions built on them keep the
+    bits they had when they wrapped one-element arrays."""
+
+    @_FLOAT_ROUTE
+    # z = 5e-324 is left out: z / 2 underflows there, and both routes give NaN
+    @given(df=_DFS, z=st.one_of(st.just(0.0), st.floats(1e-300, 1500.0)))
+    @example(df=2.0, z=0.0)  # order 0 at z = 0
+    @example(df=6.0, z=0.0)  # order > 0
+    @example(df=1.0, z=0.0)  # order in (-1, 0)
+    @example(df=6.0, z=-0.0)
+    @example(df=6.0, z=700.0)
+    @example(df=6.0, z=math.nextafter(700.0, math.inf))
+    @example(df=_order_df(_SERIES_ORDER_MAX), z=700.0)
+    @example(df=_order_df(_SERIES_ORDER_MAX), z=3.0)
+    @example(df=_order_df(_ABOVE_ORDER_MAX), z=3.0)
+    @example(df=_order_df(_ABOVE_ORDER_MAX), z=0.0)
+    def test_bessel_kernels(self, df, z):
+        order = df / 2.0 - 1.0
+        one = log_bessel_i_array(order, z)
+        assert type(one) is np.float64
+        assert _bits(one) == _bits(log_bessel_i_array(order, np.array([z]))[0])
+        assert _bits(log_bessel_i(order, z).log_magnitude) == _bits(one)
+        if z > 0.0:  # R(0) is -inf less -inf, on either route
+            ratio = _bessel_ratio(z, df)
+            assert type(ratio) is np.float64
+            assert _bits(ratio) == _bits(_bessel_ratio(np.array([z]), df)[0])
+
+    @_FLOAT_ROUTE
+    @given(df=_DFS, y=st.floats(0.0, 2000.0, exclude_min=True),
+           theta=st.floats(1e-3, 1e3))
+    @example(df=6.0, y=5e-324, theta=0.5)  # theta y underflows to 0
+    @example(df=1.0, y=5e-324, theta=0.5)
+    @example(df=6.0, y=_TINIEST, theta=1.0)
+    @example(df=6.0, y=700.0**2 / 7.0, theta=7.0)  # z = 700
+    @example(df=_order_df(_SERIES_ORDER_MAX), y=12.5, theta=2.0)
+    @example(df=_order_df(_ABOVE_ORDER_MAX), y=12.5, theta=2.0)
+    # the C library's log of z differs from numpy's in the last bit here
+    # (glibc and numpy 2.4 on x86-64), so log z must stay numpy's
+    @example(df=6.0, y=151.48400768733595, theta=1.0)
+    @example(df=0.5, y=10.822042518529805, theta=1.0)
+    def test_log_bf_and_its_slope(self, df, y, theta):
+        one = _log_bf_core(y, theta, df)
+        assert type(one) is np.float64
+        array = _log_bf_core(np.array([y]), np.array([theta]), df)[0]
+        assert _bits(one) == _bits(array)
+        assert _bits(log_bf_ncchisq(y, theta, df)) == _bits(array)
+        z = np.array([math.sqrt(theta * y)])
+        if z[0] > 0.0:  # dlogbf_dy as it was, on a one-element array
+            slope = 0.5 * math.sqrt(theta / y) * float(_bessel_ratio(z, df)[0])
+            assert _bits(dlogbf_dy(y, theta, df)) == _bits(slope)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_bad_argument_raises_the_array_message(self, z):
+        with pytest.raises(DomainError) as array:
+            log_bessel_i_array(2.0, np.array([z]))
+        with pytest.raises(DomainError) as one:
+            log_bessel_i_array(2.0, z)
+        assert str(one.value) == str(array.value) == \
+            "Bessel argument must be finite and nonnegative"
+
+    @pytest.mark.parametrize("order", [-1.0, math.nextafter(-1.0, -math.inf), -2.0,
+                                       math.nan])
+    def test_bad_order_raises_the_array_message(self, order):
+        with pytest.raises(DomainError) as array:
+            log_bessel_i_array(order, np.array([2.0]))
+        with pytest.raises(DomainError) as one:
+            log_bessel_i_array(order, 2.0)
+        assert str(one.value) == str(array.value) == \
+            f"Bessel order must exceed -1, got {order}"
+
+
 class TestChiSqTestSpec:
     def test_exactly_one_of_gamma_alpha(self):
         with pytest.raises(DomainError):
@@ -129,7 +225,7 @@ class TestChiSqTestSpec:
             ChiSqTestSpec(df=6.0, alpha=1.0)
         with pytest.raises(DomainError):
             ChiSqTestSpec(df=0.0, gamma=3.0)
-        with pytest.raises(DomainError, match=r"df=.* must lie in \(0, 1e8\]"):
+        with pytest.raises(DomainError, match=r"df=.* must lie in \[1e-10, 1e8\]"):
             ChiSqTestSpec(df=1e8 * (1.0 + 2**-52), alpha=0.05)
         spec = ChiSqTestSpec(df=6.0, gamma=3.46)
         assert spec.alpha is None

@@ -113,7 +113,21 @@ class TestChisqCommand:
         a nonsense theta*, and 1e20 and 1e160 failed inside the kernels."""
         code, out, err = invoke(["chisq"] + argv)
         assert (code, out) == (1, "")
-        assert err == f"error: domain: degrees of freedom df={shown} must lie in (0, 1e8]\n"
+        assert err == f"error: domain: degrees of freedom df={shown} must lie in [1e-10, 1e8]\n"
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["chisq", "--df", "1e-13", "--gamma", "3"], "1e-13"),
+        (["bf", "--df", "1e-300", "--stat", "1", "--gamma", "3"], "1e-300"),
+        (["chisq", "--df", "5e-324", "--alpha", "0.05"], "5e-324"),
+        (["power", "--df", "2e-13", "--gamma", "1.0001"], "2e-13"),
+    ])
+    def test_df_below_the_floor_exits_one(self, argv, shown):
+        """Below df 1e-10 the kernels failed: a non-finite Bessel argument at
+        1e-13, a Bessel order of -1 at 1e-300, a bare ValueError from the
+        quantile at 5e-324, a divide-by-zero warning at 2e-13."""
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: domain: degrees of freedom df={shown} must lie in [1e-10, 1e8]\n"
 
     def test_large_df_alpha_mode(self):
         """df = 1e5 puts the Bessel order near 5e4, beyond the series' term
@@ -437,7 +451,7 @@ class TestCurveCommand:
         code, out, err = invoke(["curve", "--df-max", "100000001",
                                  "-o", str(tmp_path / "curve.csv")])
         assert code == 1 and out == ""
-        assert err == "error: domain: degrees of freedom df=100000001 must lie in (0, 1e8]\n"
+        assert err == "error: domain: degrees of freedom df=100000001 must lie in [1e-10, 1e8]\n"
         assert not (tmp_path / "curve.csv").exists()
 
     def test_writes_plot_ready_csv(self, tmp_path):

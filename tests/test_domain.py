@@ -1,6 +1,6 @@
 """Input rules shared by the entry points: one owner and one message each.
 
-``bayes`` owns the df rule, (0, 1e8], the evidence-threshold rule, gamma > 1
+``bayes`` owns the df rule, [1e-10, 1e8], the evidence-threshold rule, gamma > 1
 and finite, the size rule, alpha in (0, 1), and the alternatives' rule,
 theta in (0, 1e150]; ``special`` owns the distributions' df, positive and
 finite, the draw count, an integer in [1, 2**30], and the seed, a
@@ -59,16 +59,22 @@ DF_ENTRIES = {
 
 @pytest.mark.parametrize("entry", DF_ENTRIES)
 @pytest.mark.parametrize("df", [math.nextafter(1e8, math.inf), 1e12, 0.0, math.nan,
-                                math.inf])
+                                math.inf, math.nextafter(1e-10, 0.0), 1e-13, 5e-324])
 def test_df_outside_the_domain(entry, df):
-    # past 1e8 log g's rounding reaches log gamma's scale
-    with pytest.raises(DomainError, match=r"df=.* must lie in \(0, 1e8\]"):
+    # past 1e8 log g's rounding reaches log gamma's scale; below 1e-10 the
+    # kernels failed (at df 8.9e-13 and below)
+    with pytest.raises(DomainError, match=r"df=.* must lie in \[1e-10, 1e8\]"):
         DF_ENTRIES[entry](df)
 
 
 @pytest.mark.parametrize("entry", DF_ENTRIES)
 def test_df_at_the_bound_is_accepted(entry):
     DF_ENTRIES[entry](1e8)
+
+
+@pytest.mark.parametrize("entry", DF_ENTRIES)
+def test_df_at_the_floor_is_accepted(entry):
+    DF_ENTRIES[entry](1e-10)
 
 
 _SETTING = TTestSetting(n=10, gamma=3.0)

@@ -144,7 +144,7 @@ class TestRejectionBoundary:
         ys = []
         core = solver._log_bf_core
         monkeypatch.setattr(solver, "_log_bf_core",
-                            lambda y, theta, df: ys.append(float(y[0])) or core(y, theta, df))
+                            lambda y, theta, df: ys.append(float(y)) or core(y, theta, df))
         rejection_boundary(7.31, 3.46, 6.0)
         assert len(ys) == len(set(ys)) > 2
 
@@ -500,6 +500,18 @@ class TestZRootPlacement:
         assert sol.theta_star == pytest.approx(exact, rel=1e-7, abs=0.0)
         assert sol.gamma > 1.0
 
+    @pytest.mark.parametrize("df, gamma", [(1e-9, 1.0 + 1e-8), (1e-7, 1.0 + 1e-10),
+                                           (3.162277660168379e-06, 1.0 + 1e-13)])
+    def test_zero_slope_warns_nothing(self, df, gamma):
+        """Next to gamma = 1 at small df, theta*'s slope (R - z R') / 2 cancels
+        to 0 and the step to inf, which the bracket turns into bisection; it
+        raised a divide-by-zero RuntimeWarning.  log g's rounding there
+        (README Caveats) may leave no root, a solver failure."""
+        try:
+            solve_umpbt_chisq(ChiSqTestSpec(df=df, gamma=gamma))
+        except SolverError:
+            pass
+
 
 class TestSolveExpFamily:
     def test_normal_mean_closed_form(self):
@@ -675,7 +687,8 @@ class TestGammaVsDfCurve:
             raise AssertionError("matched before validating")
 
         monkeypatch.setattr(solver, "match_gamma_to_alpha", match)
-        with pytest.raises(DomainError, match=r"^degrees of freedom df=.* must lie in \(0, 1e8\]$"):
+        with pytest.raises(DomainError,
+                           match=r"^degrees of freedom df=.* must lie in \[1e-10, 1e8\]$"):
             gamma_vs_df_curve([0.05], df_max)
 
     def test_validation(self):

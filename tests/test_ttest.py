@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umpbt import (
     DomainError,
@@ -16,7 +18,7 @@ from umpbt import (
     t_rejection_prob,
 )
 from umpbt.special import NoncentralChiSq, noncentral_chisq_sf
-from umpbt.ttest import _acceptance_prob, _center_shift
+from umpbt.ttest import _acceptance_prob, _center_shift, _t_log_bf_array
 
 DEMO = TTestSetting(n=10, theta0=0.0, alpha_prior=0.0, beta_prior=0.0,
                     gamma=3.0, sigma_true=1.0)
@@ -58,6 +60,25 @@ class TestTLogBf:
         kernel = lambda t: (u_stat + n * (y - t) ** 2) ** (-(n / 2))
         oracle = math.log(kernel(theta) / kernel(0.0))
         assert t_log_bf(y, theta, u_stat, setting) == pytest.approx(oracle, rel=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(y=st.floats(-1e6, 1e6), theta=st.floats(-1e6, 1e6), u_stat=st.floats(1e-6, 1e6),
+           n=st.integers(2, 10**6), alpha_prior=st.floats(0.0, 1e3))
+    # a float's ** 2 (the C library's pow) differs from its square in the
+    # last bit here (glibc on x86-64), and so would the value
+    @example(y=709.673919350209, theta=375.13535573162267, u_stat=9.0, n=10, alpha_prior=0.0)
+    @example(y=305.69289673500293, theta=656.7722426496712, u_stat=9.0, n=10, alpha_prior=0.0)
+    def test_float_route_keeps_the_array_bits(self, y, theta, u_stat, n, alpha_prior):
+        """t_log_bf takes floats; its value has the bits of the one-element
+        array route, whose products give numpy's ``** 2`` bits."""
+        setting = TTestSetting(n=n, alpha_prior=alpha_prior, gamma=3.0)
+        ys, us = np.array([y]), np.array([u_stat])
+        array = _t_log_bf_array(ys, us, theta, setting)[0]
+        power = n / 2.0 + alpha_prior
+        squares = power * (np.log(us + n * (ys - 0.0) ** 2) - np.log(us + n * (ys - theta) ** 2))
+        value = t_log_bf(y, theta, u_stat, setting)
+        assert np.float64(value).view(np.int64) == array.view(np.int64) == \
+            squares[0].view(np.int64)
 
     def test_requires_positive_scale(self):
         with pytest.raises(DomainError):
