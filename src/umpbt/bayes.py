@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import DomainError
-from .special import log_bessel_i_array
+from .special import _check_df, _check_statistic, log_bessel_i_array
 
 __all__ = [
     "ChiSqTestSpec",
@@ -29,22 +29,9 @@ __all__ = [
 
 _TINIEST = 5e-324
 
-# log g sums terms of the size of lgamma(df/2), whose rounding reaches log
-# gamma's scale past this: at gamma 3, (r(theta*) - df) / sqrt(2 df) is
-# 1.4824 at df 1e8 against its limit 1.4823, but 2.41 at 1e10
-_DF_MAX = 1e8
-# 100 times the largest df a sweep of chisq, bf and power saw fail, 8.9e-13;
-# the Bessel order df/2 - 1 rounds to -1 below 1.1e-16
-_DF_MIN = 1e-10
 # above it theta r(theta) ~ theta^2 / 4 nears overflow; the solve's grid
 # ends at 10 (df + 2 log gamma), a dominance grid at 100 theta*
 _THETA_MAX = 1e150
-
-
-def _check_df(df: float) -> None:
-    """The one df rule of every chi-squared entry point."""
-    if not (_DF_MIN <= df <= _DF_MAX):
-        raise DomainError(f"degrees of freedom df={df} must lie in [1e-10, 1e8]")
 
 
 def _check_gamma(gamma: float) -> None:
@@ -126,8 +113,7 @@ def _log_bf_core(y: np.ndarray, theta: np.ndarray, df: float) -> np.ndarray:
 def _check_ncchisq_args(y: float, theta: float, df: float) -> None:
     _check_df(df)
     _check_theta(theta)
-    if not (y >= 0) or not math.isfinite(y):
-        raise DomainError(f"statistic must be nonnegative, got {y}")
+    _check_statistic(y)
     if not math.isfinite(theta * y):
         raise DomainError(f"statistic y={y} times noncentrality theta={theta} "
                           f"overflows double precision")

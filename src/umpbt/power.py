@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import _TINIEST, ChiSqTestSpec, _check_df, _check_gamma, _check_theta, _log_bf_core
+from .bayes import _TINIEST, ChiSqTestSpec, _check_gamma, _check_theta, _log_bf_core
 from .errors import DomainError
 from .solver import rejection_boundary, rejection_boundary_grid, solve_umpbt_chisq
-from .special import (NoncentralChiSq, _check_draws, noncentral_chisq_sf,
+from .special import (NoncentralChiSq, _check_df, _check_draws, noncentral_chisq_sf,
                       sample_noncentral_chisq)
 
 __all__ = [

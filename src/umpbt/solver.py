@@ -39,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import (ChiSqTestSpec, ExpFamilyModel, _bessel_ratio, _check_alpha, _check_df,
-                    _check_gamma, _check_theta, _log_bf_core)
+from .bayes import (ChiSqTestSpec, ExpFamilyModel, _bessel_ratio, _check_alpha, _check_gamma,
+                    _check_theta, _log_bf_core)
 from .errors import DomainError, NoRootError
-from .special import chisq_cdf, chisq_quantile
+from .special import _check_df, chisq_cdf, chisq_quantile
 
 # brentq is imported where a scalar boundary or an exponential-family theta*
 # is found: loading scipy.optimize takes ~0.25 s, which a match, finding

@@ -46,6 +46,13 @@ _SERIES_ORDER_MAX = 11607.429237724386
 _SERIES_BLOCK = 1024
 _MIXTURE_TAIL = 1e-17
 _MAX_NONCENTRALITY = 1e8
+# log g sums terms of the size of lgamma(df/2), whose rounding reaches log
+# gamma's scale past this: at gamma 3, (r(theta*) - df) / sqrt(2 df) is
+# 1.4824 at df 1e8 against its limit 1.4823, but 2.41 at 1e10
+_DF_MAX = 1e8
+# 100 times the largest df a sweep of chisq, bf and power saw fail, 8.9e-13;
+# the Bessel order df/2 - 1 rounds to -1 below 1.1e-16
+_DF_MIN = 1e-10
 # most draws per call: an 8 GiB array of float64
 _MAX_DRAWS = 2**30
 # stirlerr(k) = log k! - (k + 1/2) log k + k - log(2 pi) / 2 for k = 1..35,
@@ -74,10 +81,16 @@ class LogValue:
         return math.exp(self.log_magnitude)
 
 
-def _check_dist_df(df: float) -> None:
-    """The one df rule of the chi-squared distributions: positive and finite."""
-    if not 0.0 < df < math.inf:
-        raise DomainError(f"degrees of freedom df={df} must be positive and finite")
+def _check_df(df: float) -> None:
+    """The one df rule of the chi-squared laws and of every test built on them."""
+    if not (_DF_MIN <= df <= _DF_MAX):
+        raise DomainError(f"degrees of freedom df={df} must lie in [1e-10, 1e8]")
+
+
+def _check_statistic(y: float) -> None:
+    """The one rule for a chi-squared statistic: nonnegative and finite."""
+    if not (y >= 0) or not math.isfinite(y):
+        raise DomainError(f"statistic must be nonnegative, got {y}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +106,7 @@ class NoncentralChiSq:
     noncentrality: float
 
     def __post_init__(self) -> None:
-        _check_dist_df(self.df)
+        _check_df(self.df)
         if not 0.0 <= self.noncentrality <= _MAX_NONCENTRALITY:
             raise DomainError(f"noncentrality theta_t must lie in [0, {_MAX_NONCENTRALITY:g}], "
                               f"got {self.noncentrality:g}")
@@ -293,9 +306,8 @@ def log_gamma_fn(x: float) -> float:
 
 def chisq_cdf(y: float, df: float) -> float:
     """Central chi-squared CDF, P(Y <= y) for Y ~ chi2(df)."""
-    _check_dist_df(df)
-    if y < 0 or not math.isfinite(y):
-        raise DomainError(f"chi-squared CDF argument must be nonnegative, got {y}")
+    _check_df(df)
+    _check_statistic(y)
     p = float(_sp.gammainc(df / 2.0, y / 2.0))
     return min(1.0, max(0.0, p))
 
@@ -316,7 +328,7 @@ def chisq_quantile(p: float, df: float) -> float:
     then Newton steps polish it until the CDF residual drops below 1e-12
     (falling back to bisection whenever a Newton step would leave the bracket).
     """
-    _check_dist_df(df)
+    _check_df(df)
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile probability must lie in (0, 1), got {p}")
 
@@ -404,8 +416,7 @@ def noncentral_chisq_sf(y: float, dist: NoncentralChiSq) -> float:
     So the value keeps its relative precision however far in the tail y
     lies, down to the underflow of double precision.
     """
-    if y < 0 or not math.isfinite(y):
-        raise DomainError(f"survival-function argument must be nonnegative, got {y}")
+    _check_statistic(y)
     lam = dist.noncentrality / 2.0
     if lam == 0.0:
         # exact reduction to the central law

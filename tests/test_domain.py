@@ -1,10 +1,11 @@
 """Input rules shared by the entry points: one owner and one message each.
 
-``bayes`` owns the df rule, [1e-10, 1e8], the evidence-threshold rule, gamma > 1
-and finite, the size rule, alpha in (0, 1), and the alternatives' rule,
-theta in (0, 1e150]; ``special`` owns the distributions' df, positive and
-finite, the draw count, an integer in [1, 2**30], and the seed, a
-nonnegative integer, and ``NoncentralChiSq`` theta_t, in [0, 1e8];
+``special`` owns the df rule of the chi-squared laws and of every test
+built on them, [1e-10, 1e8], the statistic rule, y nonnegative and finite,
+the draw count, an integer in [1, 2**30], and the seed, a nonnegative
+integer, and ``NoncentralChiSq`` theta_t, in [0, 1e8]; ``bayes`` owns the
+evidence-threshold rule, gamma > 1 and finite, the size rule, alpha in
+(0, 1), and the alternatives' rule, theta in (0, 1e150];
 ``ttest`` owns its means, finite with magnitude at most 1e100, and its
 scale statistic U, positive and finite; ``TTestSetting`` owns its
 sigma_true, in [1e-53 sqrt(n) gamma_n/(gamma_n - 1), 1e100], and its
@@ -45,7 +46,10 @@ from umpbt import (
     t_rejection_prob,
 )
 from umpbt import power, solver
-from umpbt.special import chisq_cdf, chisq_quantile
+from umpbt.special import chisq_cdf, chisq_quantile, noncentral_chisq_sf
+
+_MAX = sys.float_info.max
+_TINY = 5e-324  # the least positive double
 
 DF_ENTRIES = {
     "ChiSqTestSpec": lambda df: ChiSqTestSpec(df=df, gamma=3.0),
@@ -55,16 +59,33 @@ DF_ENTRIES = {
     "rejection_boundary_grid": lambda df: rejection_boundary_grid(np.array([2.0]), 3.0, df),
     "mc_rejection_rate": lambda df: mc_rejection_rate(2.0, 1.0, 3.0, df, 100, 1),
 }
+# the laws take the tests' rule: the same rows, the same message; each
+# returns a value, which must be finite at both ends
+DIST_DF_ENTRIES = {
+    "NoncentralChiSq": lambda df: noncentral_chisq_sf(5.0, NoncentralChiSq(df, 1.0)),
+    "chisq_cdf": lambda df: chisq_cdf(5.0, df),
+    "chisq_quantile": lambda df: chisq_quantile(0.95, df),
+}
+# past 1e8 log g's rounding reaches log gamma's scale; below 1e-10 the
+# kernels failed (at df 8.9e-13 and below), and chisq_quantile failed at
+# 5e-324 and at the largest double
+_DF_OUTSIDE = [math.nextafter(1e8, math.inf), 1e12, 0.0, math.nan, math.inf,
+               math.nextafter(1e-10, 0.0), 1e-13, 5e-324, -math.inf, -_TINY, -1.0, _MAX]
+_DF_MESSAGE = r"^degrees of freedom df=.* must lie in \[1e-10, 1e8\]$"
 
 
 @pytest.mark.parametrize("entry", DF_ENTRIES)
-@pytest.mark.parametrize("df", [math.nextafter(1e8, math.inf), 1e12, 0.0, math.nan,
-                                math.inf, math.nextafter(1e-10, 0.0), 1e-13, 5e-324])
+@pytest.mark.parametrize("df", _DF_OUTSIDE)
 def test_df_outside_the_domain(entry, df):
-    # past 1e8 log g's rounding reaches log gamma's scale; below 1e-10 the
-    # kernels failed (at df 8.9e-13 and below)
-    with pytest.raises(DomainError, match=r"df=.* must lie in \[1e-10, 1e8\]"):
+    with pytest.raises(DomainError, match=_DF_MESSAGE):
         DF_ENTRIES[entry](df)
+
+
+@pytest.mark.parametrize("entry", DIST_DF_ENTRIES)
+@pytest.mark.parametrize("df", _DF_OUTSIDE)
+def test_distribution_df_outside_the_domain(entry, df):
+    with pytest.raises(DomainError, match=_DF_MESSAGE):
+        DIST_DF_ENTRIES[entry](df)
 
 
 @pytest.mark.parametrize("entry", DF_ENTRIES)
@@ -75,6 +96,33 @@ def test_df_at_the_bound_is_accepted(entry):
 @pytest.mark.parametrize("entry", DF_ENTRIES)
 def test_df_at_the_floor_is_accepted(entry):
     DF_ENTRIES[entry](1e-10)
+
+
+@pytest.mark.parametrize("entry", DIST_DF_ENTRIES)
+@pytest.mark.parametrize("df", [1e-10, 1e8])
+def test_distribution_df_at_the_bound_is_accepted(entry, df):
+    # chisq_quantile(0.95, 1e-10) is 8.53e-13, not the true 0 (CHANGES FOUND)
+    assert math.isfinite(DIST_DF_ENTRIES[entry](df))
+
+
+STATISTIC_ENTRIES = {
+    "log_bf_ncchisq": lambda y: log_bf_ncchisq(y, 2.0, 6.0),
+    "dlogbf_dy": lambda y: dlogbf_dy(y, 2.0, 6.0),
+    "chisq_cdf": lambda y: chisq_cdf(y, 6.0),
+    "noncentral_chisq_sf": lambda y: noncentral_chisq_sf(y, NoncentralChiSq(6.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("entry", STATISTIC_ENTRIES)
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, -_TINY, -1.0])
+def test_statistic_outside_the_domain(entry, y):
+    with pytest.raises(DomainError, match=r"^statistic must be nonnegative, got"):
+        STATISTIC_ENTRIES[entry](y)
+
+
+@pytest.mark.parametrize("entry", STATISTIC_ENTRIES)
+def test_statistic_at_the_bound_is_accepted(entry):
+    assert math.isfinite(STATISTIC_ENTRIES[entry](0.0))
 
 
 _SETTING = TTestSetting(n=10, gamma=3.0)
@@ -187,10 +235,6 @@ def test_sigma_at_the_bound_is_accepted(sigma, theta_ts):
         assert all(math.isfinite(v) for v in (row.argmax_theta, row.max_prob, row.mc_prob))
 
 
-_MAX = sys.float_info.max
-_TINY = 5e-324  # the least positive double
-
-
 def _no_draws_or_solves(monkeypatch):
     """Make a draw, a theta* solve or a match fail the test."""
     _no_draws(monkeypatch)
@@ -258,35 +302,6 @@ def test_theta_t_outside_the_domain(monkeypatch, entry, theta_t):
 @pytest.mark.parametrize("theta_t", [0.0, 1e8])
 def test_theta_t_at_the_bound_is_accepted(entry, theta_t):
     THETA_T_ENTRIES[entry](theta_t)
-
-
-DIST_DF_ENTRIES = {
-    "NoncentralChiSq": lambda df: NoncentralChiSq(df, 1.0),
-    "chisq_cdf": lambda df: chisq_cdf(5.0, df),
-    "chisq_quantile": lambda df: chisq_quantile(0.95, df),
-}
-
-
-@pytest.mark.parametrize("entry", DIST_DF_ENTRIES)
-@pytest.mark.parametrize("df", [math.nan, math.inf, -math.inf, 0.0, -_TINY, -1.0])
-def test_distribution_df_outside_the_domain(entry, df):
-    # chisq_cdf returned 0.0 at df = inf, and chisq_quantile failed on its
-    # CDF argument
-    message = r"^degrees of freedom df=.* must be positive and finite$"
-    with pytest.raises(DomainError, match=message):
-        DIST_DF_ENTRIES[entry](df)
-
-
-_QUANTILE_EXTREMES = pytest.mark.xfail(
-    strict=True, reason="chisq_quantile fails at extreme df (CHANGES FOUND)")
-
-
-@pytest.mark.parametrize("entry", DIST_DF_ENTRIES)
-@pytest.mark.parametrize("df", [_TINY, _MAX])
-def test_distribution_df_at_the_bound_is_accepted(request, entry, df):
-    if entry == "chisq_quantile":
-        request.applymarker(_QUANTILE_EXTREMES)
-    DIST_DF_ENTRIES[entry](df)
 
 
 ALPHA_ENTRIES = {

@@ -5,10 +5,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from umpbt import bayes
 from umpbt import (
     ChiSqTestSpec,
     CurvePoint,
@@ -38,6 +39,11 @@ from umpbt import (
 _PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 _DFS = st.floats(0.5, 1000.0)
 _ALPHA_SHARES = st.floats(1e-12, 0.9)  # of P(chi2_df > df), at least 0.3 up to df 1000
+# The boundary properties bound their error by log g's rounding itself, so
+# they run to df 1e4 and gamma 1e6.
+_WIDE_DFS = st.floats(0.5, 1e4)
+_GAMMAS = st.floats(1.01, 1e6)
+_EPS = 2.0**-52
 
 
 def _alpha(df, share):
@@ -60,6 +66,24 @@ class TestRejectionBoundary:
             boundary = rejection_boundary(theta, gamma, df)
             residual = log_bf_ncchisq(boundary, theta, df) - math.log(gamma)
             assert abs(residual) <= 1e-9
+
+    @_PROPERTY
+    @given(df=_WIDE_DFS, gamma=_GAMMAS,
+           thetas=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=8))
+    def test_grid_root_property(self, df, gamma, thetas):
+        # every boundary exceeds df: d log g / d theta < (y/df - 1)/2, which
+        # is 0 at y = df, and log g -> 0 as theta -> 0, so
+        # log g(df, theta) < 0 < log gamma
+        boundaries = rejection_boundary_grid(np.array(thetas), gamma, df)
+        assert (boundaries > df).all()
+        # the residual stays within 8 ulps of log g's terms' magnitudes, the
+        # rounding of their sum; 24,000 random roots reached 2.4 ulps
+        for theta, y in zip(thetas, boundaries):
+            log_g = log_bf_ncchisq(float(y), theta, df)
+            terms = [math.lgamma(df / 2.0), -theta / 2.0, (df / 2.0 - 1.0) * math.log(2.0),
+                     (1.0 - df / 2.0) * 0.5 * math.log(theta * y)]
+            scale = sum(map(abs, terms)) + abs(log_g - sum(terms))  # the last: log I
+            assert abs(log_g - math.log(gamma)) <= 8.0 * _EPS * scale
 
     def test_grid_version_agrees_with_scalar(self):
         thetas = np.geomspace(0.01, 400.0, 40)
@@ -264,6 +288,19 @@ class TestSolveChiSq:
         r = rejection_boundary_grid(theta_star * (1.0 + np.array([0.0, *offsets])), gamma, df)
         assert r[1:].min() >= r[0] * (1.0 - 1e-12)
 
+    @_PROPERTY
+    @given(df=_WIDE_DFS, gamma=_GAMMAS)
+    def test_first_order_condition_property(self, df, gamma):
+        # theta* boundary = z^2 with boundary R(z) = z, the first-order
+        # condition; r(theta) is flat at theta*, so the golden section,
+        # comparing boundaries that carry brentq's 1e-13 rounding, fixes
+        # theta* to ~sqrt(1e-13 / r) relative; 3,000 random solves left
+        # residuals up to 5.3e-8
+        sol = solve_umpbt_chisq(ChiSqTestSpec(df=df, gamma=gamma))
+        z = math.sqrt(sol.theta_star * sol.boundary)
+        ratio = float(bayes._bessel_ratio(z, df))
+        assert sol.boundary * ratio == pytest.approx(z, rel=2e-7)
+
 
 class TestMatchGammaToAlpha:
     def test_df6_alpha_05(self):
@@ -307,6 +344,21 @@ class TestMatchGammaToAlpha:
         gamma_lo, gamma_hi = (match_gamma_to_alpha(ChiSqTestSpec(df=df, alpha=a)).gamma
                               for a in (lo, hi))
         assert gamma_hi <= gamma_lo * (1.0 + 1e-12)
+
+    @_PROPERTY
+    @given(df=_DFS, eps=st.floats(1e-3, 0.5))
+    def test_near_null_threshold_property(self, df, eps):
+        # log gamma = (y - df)^2 (df + 2) / (4 y^2) (1 + c1 e + O(e^2)) at
+        # e = y/df - 1, where the x^3 term of log 0F1(; df/2; x) gives
+        # c1 = (4/3)(df + 2)/(df + 4); the e^2 coefficient reached 0.174
+        # over a 41 x 31 grid of (df, e).  Above df 1000 log g's rounding outgrows
+        # log gamma next to 1 (CHANGES FOUND, open).
+        alpha = noncentral_chisq_sf(df * (1.0 + eps), NoncentralChiSq(df, 0.0))
+        assume(alpha > 2.0**-54)  # the match's own floor (test_alpha_below_the_floor)
+        sol = match_gamma_to_alpha(ChiSqTestSpec(df=df, alpha=alpha))
+        y, e = sol.boundary, sol.boundary / df - 1.0
+        ratio = math.log(sol.gamma) / ((y - df) ** 2 * (df + 2.0) / (4.0 * y * y))
+        assert abs(ratio - 1.0 - 4.0 / 3.0 * (df + 2.0) / (df + 4.0) * e) <= 0.2 * e * e
 
     def test_consistency_with_direct_solve(self):
         """Re-deriving the alternative at the matched threshold lands on the
