@@ -37,7 +37,6 @@ from .errors import (
 from .power import (
     DOMINANCE_MARGIN_TOL,
     DominanceReport,
-    PowerCurve,
     dominance_check,
     mc_rejection_rate,
     rejection_probability,

@@ -189,12 +189,13 @@ def _cmd_power(args) -> dict:
     theta_t_grid = _parse_grid(args.theta_t_grid) if args.theta_t_grid else None
     report = dominance_check(args.gamma, args.df, theta_grid, theta_t_grid)
     rows = [{"theta_t": theta_t, "theta": theta, "h": h}
-            for theta, theta_t, h in report.curve.entries]
+            for theta_t, h_row in zip(report.theta_t_grid, report.h)
+            for theta, h in zip(report.theta_grid, h_row)]
     if args.mc is not None:
-        thetas, theta_ts, _ = zip(*report.curve.entries)
-        h_mc = mc_rejection_rate(thetas, theta_ts, args.gamma, args.df, args.mc,
-                                 args.seed)
-        for row, rate in zip(rows, h_mc):
+        h_mc = mc_rejection_rate(np.array(report.theta_grid),
+                                 np.array(report.theta_t_grid)[:, None], args.gamma,
+                                 args.df, args.mc, args.seed)
+        for row, rate in zip(rows, h_mc.flat):
             row["h_mc"] = rate
     return {
         "df": args.df,

@@ -17,12 +17,11 @@ import numpy as np
 
 from .bayes import _TINIEST, ChiSqTestSpec, _check_gamma, _check_theta, _log_bf_core
 from .errors import DomainError
-from .solver import rejection_boundary, rejection_boundary_grid, solve_umpbt_chisq
+from .solver import rejection_boundary_grid, solve_umpbt_chisq
 from .special import (NoncentralChiSq, _check_df, _check_draws, noncentral_chisq_sf,
                       sample_noncentral_chisq)
 
 __all__ = [
-    "PowerCurve",
     "DominanceReport",
     "rejection_probability",
     "dominance_check",
@@ -35,33 +34,14 @@ DOMINANCE_MARGIN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class PowerCurve:
-    """Grid of rejection probabilities, sorted by (theta_t, theta).
-
-    Entries are (theta, theta_t, h) triples with h in [0, 1].
-    """
-
-    df: float
-    gamma: float
-    entries: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self) -> None:
-        for theta, theta_t, h in self.entries:
-            if not (0.0 <= h <= 1.0):
-                raise DomainError(
-                    f"rejection probability {h} outside [0, 1] at "
-                    f"(theta={theta}, theta_t={theta_t})"
-                )
-        ordered = sorted(self.entries, key=lambda e: (e[1], e[0]))
-        object.__setattr__(self, "entries", tuple(ordered))
-
-
-@dataclass(frozen=True)
 class DominanceReport:
     """Outcome of a finite-grid power-dominance check.
 
+    Both grids are sorted ascending, and ``h[i][j]`` is H(theta_grid[j];
+    theta_t_grid[i]), the probability that the test with alternative
+    theta_grid[j] rejects when the true noncentrality is theta_t_grid[i].
     ``max_margin`` is the largest H(theta; theta_t) - H(theta*; theta_t)
-    over the recorded grids; the check passes when it does not exceed
+    over the grids; the check passes when it does not exceed
     ``DOMINANCE_MARGIN_TOL``.
     """
 
@@ -71,16 +51,20 @@ class DominanceReport:
     boundary: float
     theta_grid: tuple[float, ...]
     theta_t_grid: tuple[float, ...]
+    h: tuple[tuple[float, ...], ...]
     max_margin: float
     passed: bool
-    curve: PowerCurve
 
 
 def rejection_probability(theta: float, theta_t: float, gamma: float,
                           df: float) -> float:
     """Probability that the test with alternative ``theta`` rejects the null
-    when the true noncentrality is ``theta_t``."""
-    boundary = rejection_boundary(theta, gamma, df)
+    when the true noncentrality is ``theta_t``.
+
+    The boundary is :func:`rejection_boundary_grid` on one element, the
+    root whose table ``dominance_check`` returns.
+    """
+    boundary = float(rejection_boundary_grid(np.array([theta], dtype=float), gamma, df)[0])
     return noncentral_chisq_sf(boundary, NoncentralChiSq(df, theta_t))
 
 
@@ -97,12 +81,13 @@ def dominance_check(gamma: float, df: float, theta_grid=None,
     """
     spec = ChiSqTestSpec(df=df, gamma=gamma)
     if theta_t_grid is not None:  # building each law checks its theta_t before the solve
-        dists = [NoncentralChiSq(df, float(t)) for t in np.asarray(theta_t_grid, dtype=float)]
+        dists = [NoncentralChiSq(df, float(t))
+                 for t in np.sort(np.asarray(theta_t_grid, dtype=float), kind="stable")]
     theta_star = solve_umpbt_chisq(spec).theta_star
 
     if theta_grid is None:
         theta_grid = np.geomspace(theta_star / 100.0, theta_star * 100.0, 50)
-    theta_grid = np.asarray(theta_grid, dtype=float)
+    theta_grid = np.sort(np.asarray(theta_grid, dtype=float), kind="stable")
     if theta_t_grid is None:
         dists = [NoncentralChiSq(df, k * theta_star) for k in (0.0, 0.5, 1.0, 2.0, 5.0)]
     if theta_grid.size == 0 or not dists:
@@ -114,20 +99,16 @@ def dominance_check(gamma: float, df: float, theta_grid=None,
     h = np.array([[noncentral_chisq_sf(float(bnd), dist) for bnd in boundaries]
                   for dist in dists])
     max_margin = float((h[:, :-1] - h[:, -1:]).max())
-    entries = [(float(theta), dist.noncentrality, float(value))
-               for dist, row in zip(dists, h) for theta, value in zip(theta_grid, row)]
-
-    curve = PowerCurve(df=df, gamma=gamma, entries=tuple(entries))
     return DominanceReport(
         df=df,
         gamma=gamma,
         theta_star=theta_star,
         boundary=float(boundaries[-1]),
-        theta_grid=tuple(float(t) for t in theta_grid),
+        theta_grid=tuple(theta_grid.tolist()),
         theta_t_grid=tuple(dist.noncentrality for dist in dists),
+        h=tuple(tuple(row) for row in h[:, :-1].tolist()),
         max_margin=max_margin,
         passed=max_margin <= DOMINANCE_MARGIN_TOL,
-        curve=curve,
     )
 
 

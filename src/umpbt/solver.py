@@ -67,6 +67,7 @@ _GRID_POINTS = 200
 _GRID_THETA_LO = 1e-4
 _REFINE_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
+_DOUBLE_MAX = float(np.finfo(float).max)
 _BOUNDARY_MAX = 1e300
 
 
@@ -180,9 +181,9 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
     def f(y: float) -> float:
         return float(_log_bf_core(y, theta, df)) - log_gamma
 
-    # a closed-form upper end, held finite, grown fourfold only when brentq
-    # finds f < 0 at both ends; (z_up * z_up) rounds as numpy's square did,
-    # which the reference's golden-section bits depend on
+    # a closed-form upper end, held finite, grown fourfold up to the largest
+    # double only when brentq finds no sign change; (z_up * z_up) rounds as
+    # numpy's square did, which the reference's golden-section bits depend on
     z_up = theta / 2.0 + log_gamma + df + 12.0
     hi = min(max(4.0 * (z_up * z_up) / theta, df + 4.0 * log_gamma + 40.0), 1e308)
     from scipy.optimize import brentq
@@ -192,7 +193,12 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
         except ValueError as exc:
             if "different signs" not in str(exc):
                 raise
-            hi *= 4.0
+            if hi == _DOUBLE_MAX:
+                raise DomainError(
+                    f"no rejection boundary for theta={theta!r}, gamma={gamma!r}, "
+                    f"df={df!r}: log g - log gamma has one sign at both ends of "
+                    f"[1e-12, {_DOUBLE_MAX!r}]") from None
+            hi = min(4.0 * hi, _DOUBLE_MAX)
 
 
 def _z_root(f, z: np.ndarray, what: str) -> np.ndarray:

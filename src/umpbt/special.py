@@ -44,6 +44,9 @@ _SERIES_TERM_CAP = 1000
 _SERIES_ORDER_MAX = 11607.429237724386
 # Rows per block of the series workspace (about 2 MB at 250 terms).
 _SERIES_BLOCK = 1024
+# the smallest normal double: below it, a subnormal z loses digits and
+# log(z / 2) can round to -inf (log g's z never falls below 2.2e-162)
+_Z_MIN = 2.2250738585072014e-308
 _MIXTURE_TAIL = 1e-17
 _MAX_NONCENTRALITY = 1e8
 # log g sums terms of the size of lgamma(df/2), whose rounding reaches log
@@ -245,9 +248,10 @@ def _log_bessel_uniform(order: float, z: np.ndarray) -> np.ndarray:
 def log_bessel_i_array(order: float, z: np.ndarray) -> np.ndarray:
     """Vectorized log of the modified Bessel function of the first kind.
 
-    Requires ``order > -1`` and elementwise ``z >= 0``; the branch rule is
-    stated at ``_SERIES_ORDER_MAX``.  ``z = 0`` maps to the series limit:
-    0 for order 0, ``-inf`` for positive order, ``+inf`` for order in (-1, 0).
+    Requires ``order > -1`` and each z to be 0 or finite and at least
+    ``_Z_MIN``; the branch rule is stated at ``_SERIES_ORDER_MAX``.
+    ``z = 0`` maps to the series limit: 0 for order 0, ``-inf`` for
+    positive order, ``+inf`` for order in (-1, 0).
     A float z returns a float64, as a numpy ufunc does, with the bits of a
     one-element array: the series takes it in its one-value lane, and any
     other branch as a one-element array.
@@ -261,6 +265,8 @@ def log_bessel_i_array(order: float, z: np.ndarray) -> np.ndarray:
         lo, hi = (z, z) if one else (z.min(), z.max())
         if not (lo >= 0.0 and math.isfinite(hi)):
             raise DomainError("Bessel argument must be finite and nonnegative")
+        if lo < _Z_MIN and np.any((z > 0.0) & (z < _Z_MIN)):
+            raise DomainError(f"Bessel argument must be 0 or at least {_Z_MIN!r}")
         if series_fits and lo > 0.0 and hi <= _SERIES_Z_MAX:
             # every element takes the series, which the masks below would
             # hand the same values in the same order

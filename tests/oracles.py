@@ -35,6 +35,12 @@ def log_bessel_series_mp(order: float, z: float, terms: int = 500) -> float:
         return float(mp.log(bessel_series_mp(order, z, terms)))
 
 
+def log_bessel_mp(order: float, z: float, dps: int = 40) -> float:
+    """log I_order(z) from ``mpmath.besseli`` in ``dps`` digits."""
+    with mp.workdps(dps):
+        return float(mp.log(mp.besseli(order, z)))
+
+
 def lgamma_by_recursion(x: float, steps: int) -> float:
     """log Gamma(x) from Gamma(t+1) = t Gamma(t), seeded by mpmath at x - steps."""
     base = x - steps

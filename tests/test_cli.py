@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from umpbt import ChiSqTestSpec, DomainError, NoRootError, cli, solve_umpbt_chisq
+from umpbt import (ChiSqTestSpec, DomainError, NoRootError, cli, mc_rejection_rate,
+                   solve_umpbt_chisq)
 from umpbt.cli import render_plain, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,6 +129,17 @@ class TestChisqCommand:
         code, out, err = invoke(argv)
         assert (code, out) == (1, "")
         assert err == f"error: domain: degrees of freedom df={shown} must lie in [1e-10, 1e8]\n"
+
+    def test_boundary_without_a_sign_change_exits_one(self):
+        """log g - log gamma rounds above 0 at both ends of the scalar
+        boundary's bracket here; its end grew fourfold to inf, and the run
+        failed on a non-finite Bessel argument, naming no input."""
+        code, out, err = invoke(["chisq", "--df", "0.03162277660168379",
+                                 "--gamma", "1.000000000000001"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: domain: no rejection boundary for theta=")
+        assert "gamma=1.000000000000001, df=0.03162277660168379:" in err
+        assert err.endswith("of [1e-12, 1.7976931348623157e+308]\n")
 
     def test_large_df_alpha_mode(self):
         """df = 1e5 puts the Bessel order near 5e4, beyond the series' term
@@ -373,6 +385,23 @@ class TestPowerCommand:
             ("4", "2", "0.3697"), ("4", "3.464101615", "0.43555"),
             ("4", "6", "0.43505"),
         ]
+
+    def test_unsorted_grids_come_out_sorted_with_per_pair_rates(self, monkeypatch):
+        # a descending theta grid holding a repeat and a descending theta_t
+        # grid: rows come out in ascending (theta_t, theta) order, each with
+        # the rate that a call for its own pair draws
+        grids = {"thetas": [9.0, 4.0, 4.0, 0.5], "theta_ts": [6.0, 1.5, 0.0]}
+        monkeypatch.setattr(cli, "_parse_grid", lambda spec: cli.np.array(grids[spec]))
+        code, out, _ = invoke(["power", "--df", "2", "--gamma", "3", "--theta-grid", "thetas",
+                               "--theta-t-grid", "theta_ts", "--mc", "5000", "--seed", "3"])
+        assert code == 0
+        _, rows = parse_plain(out)
+        pairs = [(theta_t, theta) for theta_t in sorted(grids["theta_ts"])
+                 for theta in sorted(grids["thetas"])]
+        assert [(r["theta_t"], r["theta"], r["h_mc"]) for r in rows] == [
+            tuple(cli._fmt(v) for v in (theta_t, theta,
+                                        mc_rejection_rate(theta, theta_t, 3.0, 2.0, 5000, 3)))
+            for theta_t, theta in pairs]
 
     def test_far_tail_row(self):
         # the 50-digit Poisson mixture gives 1.44998495314e-93

@@ -13,7 +13,6 @@ from umpbt import (
     ChiSqTestSpec,
     DomainError,
     NoncentralChiSq,
-    PowerCurve,
     dominance_check,
     match_gamma_to_alpha,
     mc_rejection_rate,
@@ -68,9 +67,9 @@ class TestDominanceCheck:
 
     def test_entries_sorted_and_bounded(self):
         report = dominance_check(3.0, 2.0)
-        keys = [(e[1], e[0]) for e in report.curve.entries]
-        assert keys == sorted(keys)
-        assert all(0.0 <= e[2] <= 1.0 for e in report.curve.entries)
+        assert list(report.theta_grid) == sorted(report.theta_grid)
+        assert list(report.theta_t_grid) == sorted(report.theta_t_grid)
+        assert all(0.0 <= h <= 1.0 for row in report.h for h in row)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
@@ -79,6 +78,11 @@ class TestDominanceCheck:
     # the default grids, and a descending grid that holds a repeat
     GRIDS = [(3.46, 6.0, None, None), (3.0, 2.0, [9.0, 4.0, 4.0, 0.5], [6.0, 0.0, 1.5])]
 
+    def test_grids_come_out_ascending(self):
+        report = dominance_check(*self.GRIDS[1])
+        assert report.theta_grid == (0.5, 4.0, 4.0, 9.0)
+        assert report.theta_t_grid == (0.0, 1.5, 6.0)
+
     @pytest.mark.parametrize("gamma, df, theta_grid, theta_t_grid", GRIDS)
     def test_entries_are_the_survival_function_at_the_grid_boundaries(
             self, gamma, df, theta_grid, theta_t_grid):
@@ -86,10 +90,11 @@ class TestDominanceCheck:
         thetas = np.append(report.theta_grid, report.theta_star)
         boundaries = rejection_boundary_grid(thetas, gamma, df)
         assert report.boundary == boundaries[-1]
-        boundary_of = dict(zip(report.theta_grid, boundaries[:-1].tolist()))
-        assert len(report.curve.entries) == len(report.theta_grid) * len(report.theta_t_grid)
-        for theta, theta_t, h in report.curve.entries:
-            assert h == noncentral_chisq_sf(boundary_of[theta], NoncentralChiSq(df, theta_t))
+        assert len(report.h) == len(report.theta_t_grid)
+        for theta_t, row in zip(report.theta_t_grid, report.h):
+            assert len(row) == len(report.theta_grid)
+            for boundary, h in zip(boundaries[:-1].tolist(), row):
+                assert h == noncentral_chisq_sf(boundary, NoncentralChiSq(df, theta_t))
 
     @pytest.mark.parametrize("gamma, df, theta_grid, theta_t_grid", GRIDS)
     def test_max_margin_is_the_largest_entry_less_theta_stars_h(
@@ -97,13 +102,19 @@ class TestDominanceCheck:
         report = dominance_check(gamma, df, theta_grid, theta_t_grid)
         h_star = {t: noncentral_chisq_sf(report.boundary, NoncentralChiSq(df, t))
                   for t in report.theta_t_grid}
-        margins = [h - h_star[theta_t] for _, theta_t, h in report.curve.entries]
+        margins = [h - h_star[theta_t]
+                   for theta_t, row in zip(report.theta_t_grid, report.h) for h in row]
         assert report.max_margin == max(margins)
         assert report.passed == (max(margins) <= power.DOMINANCE_MARGIN_TOL)
 
-    def test_power_curve_validates_probabilities(self):
-        with pytest.raises(DomainError):
-            PowerCurve(df=2.0, gamma=3.0, entries=((1.0, 0.0, 1.5),))
+    @pytest.mark.parametrize("gamma, df, theta_grid, theta_t_grid", GRIDS)
+    def test_rejection_probability_is_the_table_entry(self, gamma, df, theta_grid,
+                                                       theta_t_grid):
+        # both take the grid root; on these grids every value is its entry bit for bit
+        report = dominance_check(gamma, df, theta_grid, theta_t_grid)
+        for theta_t, row in zip(report.theta_t_grid, report.h):
+            for theta, h in zip(report.theta_grid, row):
+                assert rejection_probability(theta, theta_t, gamma, df) == h
 
 
 class TestMcRejectionRate:

@@ -182,6 +182,17 @@ class TestRejectionBoundary:
         assert residual == pytest.approx(math.log(3.0), rel=1e-12)
         assert boundary > 4.0 * (1.0 + math.log(3.0) + 6.0 + 12.0) ** 2 / 2.0
 
+    def test_scalar_root_end_stops_at_the_largest_double(self, monkeypatch):
+        # log g above log gamma everywhere: the end grows to the largest
+        # double, never to inf, and the failure names theta, gamma and df
+        ys = []
+        monkeypatch.setattr(solver, "_log_bf_core",
+                            lambda y, theta, df: ys.append(y) or 1e3 + y * 0.0)
+        with pytest.raises(DomainError, match=r"^no rejection boundary for theta=2\.0, "
+                                              r"gamma=3\.0, df=6\.0: "):
+            rejection_boundary(2.0, 3.0, 6.0)
+        assert max(ys) == np.finfo(float).max
+
     def test_grid_equal_alternatives_give_equal_bits(self):
         # dominance_check's zero self-margin relies on this
         thetas = np.array([7.31, 0.02, 7.31, 300.0, 7.31, 1.5])

@@ -251,6 +251,24 @@ class TestLogBessel:
             with pytest.raises(DomainError):
                 log_bessel_i_array(1.0, np.array([2.0, bad]))
 
+    # the smallest normal double, the least positive z in the domain;
+    # order 49,999 takes the uniform expansion, the others the series
+    @pytest.mark.parametrize("order, rel", [(-0.5, 0.0), (2.0, 0.0), (11607.0, 0.0),
+                                            (49999.0, 1.1e-14)])
+    def test_smallest_normal_argument_against_mpmath(self, order, rel):
+        z = float(np.finfo(float).tiny)
+        oracle = oracles.log_bessel_mp(order, z)
+        assert abs(log_bessel_i(order, z).log_magnitude - oracle) <= rel * abs(oracle)
+
+    @pytest.mark.parametrize("z", [5e-324, np.nextafter(np.finfo(float).tiny, 0.0)])
+    def test_subnormal_argument_is_a_domain_error(self, z):
+        """log I(2, 5e-324) was NaN with two warnings, log I(49999, 5e-324) -inf."""
+        message = r"^Bessel argument must be 0 or at least 2\.2250738585072014e-308$"
+        for order in (2.0, 49999.0):
+            for arg in (float(z), np.array([z]), np.array([0.0, 1.0, z])):
+                with pytest.raises(DomainError, match=message):
+                    log_bessel_i_array(order, arg)
+
     def test_never_nan(self):
         rng = np.random.default_rng(7)
         orders = rng.uniform(-0.99, 40.0, size=40)

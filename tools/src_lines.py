@@ -7,7 +7,8 @@ Run from anywhere:
 The first number is the physical line count of every ``.py`` file under
 ``src/``.  The second counts code lines: distinct lines on which a token
 starts, leaving out comments, docstrings and the layout tokens (line ends,
-indents).  It prints both and sets no threshold.
+indents).  It prints both totals first, then both counts of each file,
+and sets no threshold.
 """
 
 from __future__ import annotations
@@ -40,9 +41,13 @@ def code_lines(source: str) -> int:
 
 
 def main() -> None:
-    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))]
-    print(f"src/ lines: {sum(len(s.splitlines()) for s in sources)}")
-    print(f"src/ code lines: {sum(code_lines(s) for s in sources)}")
+    paths = sorted(SRC.rglob("*.py"))
+    counts = [(len(source.splitlines()), code_lines(source))
+              for source in (path.read_text(encoding="utf-8") for path in paths)]
+    print(f"src/ lines: {sum(lines for lines, _ in counts)}")
+    print(f"src/ code lines: {sum(code for _, code in counts)}")
+    for path, (lines, code) in zip(paths, counts):
+        print(f"{path.relative_to(SRC.parent)}: {lines} lines, {code} code lines")
 
 
 if __name__ == "__main__":
