@@ -17,7 +17,9 @@ import numpy as np
 
 from .bayes import _TINIEST, ChiSqTestSpec, _check_gamma, _check_theta, _log_bf_core
 from .errors import DomainError
-from .solver import rejection_boundary_grid, solve_umpbt_chisq
+# rejection_boundary is not called here; perfbench/tests/test_bench_trace.py
+# asserts the binding power.rejection_boundary until ROADMAP Direction 1 drops it
+from .solver import rejection_boundary, rejection_boundary_grid, solve_umpbt_chisq  # noqa: F401
 from .special import (NoncentralChiSq, _check_df, _check_draws, noncentral_chisq_sf,
                       sample_noncentral_chisq)
 
@@ -82,12 +84,12 @@ def dominance_check(gamma: float, df: float, theta_grid=None,
     spec = ChiSqTestSpec(df=df, gamma=gamma)
     if theta_t_grid is not None:  # building each law checks its theta_t before the solve
         dists = [NoncentralChiSq(df, float(t))
-                 for t in np.sort(np.asarray(theta_t_grid, dtype=float), kind="stable")]
+                 for t in np.sort(np.asarray(theta_t_grid, dtype=float))]
     theta_star = solve_umpbt_chisq(spec).theta_star
 
     if theta_grid is None:
         theta_grid = np.geomspace(theta_star / 100.0, theta_star * 100.0, 50)
-    theta_grid = np.sort(np.asarray(theta_grid, dtype=float), kind="stable")
+    theta_grid = np.sort(np.asarray(theta_grid, dtype=float))
     if theta_t_grid is None:
         dists = [NoncentralChiSq(df, k * theta_star) for k in (0.0, 0.5, 1.0, 2.0, 5.0)]
     if theta_grid.size == 0 or not dists:

@@ -173,7 +173,9 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
     """The unique statistic value y with g(y, theta) = gamma.
 
     The rejection region of the test with alternative ``theta`` is the
-    upper interval (boundary, inf) because dg/dy > 0 everywhere.
+    upper interval (boundary, inf) because dg/dy > 0 everywhere.  Where
+    log g - log gamma keeps one sign up to the largest double, it raises
+    :class:`NoRootError` naming (theta, gamma, df).
     """
     _check_boundary_args(theta, gamma, df)
     theta, log_gamma = float(theta), math.log(gamma)
@@ -194,7 +196,7 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
             if "different signs" not in str(exc):
                 raise
             if hi == _DOUBLE_MAX:
-                raise DomainError(
+                raise NoRootError(
                     f"no rejection boundary for theta={theta!r}, gamma={gamma!r}, "
                     f"df={df!r}: log g - log gamma has one sign at both ends of "
                     f"[1e-12, {_DOUBLE_MAX!r}]") from None

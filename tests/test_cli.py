@@ -130,14 +130,15 @@ class TestChisqCommand:
         assert (code, out) == (1, "")
         assert err == f"error: domain: degrees of freedom df={shown} must lie in [1e-10, 1e8]\n"
 
-    def test_boundary_without_a_sign_change_exits_one(self):
+    def test_boundary_without_a_sign_change_exits_two(self):
         """log g - log gamma rounds above 0 at both ends of the scalar
         boundary's bracket here; its end grew fourfold to inf, and the run
-        failed on a non-finite Bessel argument, naming no input."""
+        failed on a non-finite Bessel argument, naming no input.  The input
+        lies inside the domain, so the failed root is a solver failure."""
         code, out, err = invoke(["chisq", "--df", "0.03162277660168379",
                                  "--gamma", "1.000000000000001"])
-        assert (code, out) == (1, "")
-        assert err.startswith("error: domain: no rejection boundary for theta=")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: solver: no rejection boundary for theta=")
         assert "gamma=1.000000000000001, df=0.03162277660168379:" in err
         assert err.endswith("of [1e-12, 1.7976931348623157e+308]\n")
 

@@ -188,7 +188,7 @@ class TestRejectionBoundary:
         ys = []
         monkeypatch.setattr(solver, "_log_bf_core",
                             lambda y, theta, df: ys.append(y) or 1e3 + y * 0.0)
-        with pytest.raises(DomainError, match=r"^no rejection boundary for theta=2\.0, "
+        with pytest.raises(NoRootError, match=r"^no rejection boundary for theta=2\.0, "
                                               r"gamma=3\.0, df=6\.0: "):
             rejection_boundary(2.0, 3.0, 6.0)
         assert max(ys) == np.finfo(float).max
