@@ -275,8 +275,11 @@ def expfam_log_bf(y: float, theta: float, model: ExpFamilyModel) -> float:
     """Log Bayes factor n (A(theta0) - A(theta)) + y (eta(theta) - eta(theta0)).
 
     ``theta`` must lie on the model's alternative side; the null value
-    itself is accepted and returns exactly 0 (identical hypotheses).
+    itself is accepted and returns exactly 0 (identical hypotheses).  The
+    sufficient statistic ``y`` must be finite; it may be negative.
     """
+    if not math.isfinite(y):
+        raise DomainError(f"sufficient statistic y={y} must be finite")
     model.check_alternative(theta)
     if theta == model.theta0:
         return 0.0

@@ -5,6 +5,17 @@ emit uniform ``error: <category>: <detail>`` diagnostics and choose the right
 exit status (1 for input problems, 2 for solver failures).
 """
 
+__all__ = [
+    "UmpbtError",
+    "DomainError",
+    "ParseError",
+    "ValidationError",
+    "DegenerateMarginError",
+    "SolverError",
+    "NoRootError",
+    "SeriesError",
+]
+
 
 class UmpbtError(Exception):
     """Base class for all errors raised by this package."""
@@ -32,8 +43,6 @@ class ValidationError(UmpbtError, ValueError):
 
 class DegenerateMarginError(ValidationError):
     """A contingency table has an all-zero row or column."""
-
-    category = "validation"
 
 
 class SolverError(UmpbtError, RuntimeError):

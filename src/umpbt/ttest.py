@@ -143,6 +143,7 @@ class NonexistenceReport:
 
 def t_log_bf(y: float, theta: float, u_stat: float, setting: TTestSetting) -> float:
     """Log Bayes factor (n/2 + alpha) log[(U + n(y-theta0)^2)/(U + n(y-theta)^2)]."""
+    _check_mean(y, "sample mean y")
     _check_mean(theta, "alternative mean theta")
     _check_scale(u_stat)
     return float(_t_log_bf_array(y, u_stat, theta, setting))

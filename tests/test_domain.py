@@ -7,13 +7,15 @@ integer, and ``NoncentralChiSq`` theta_t, in [0, 1e8]; ``bayes`` owns the
 evidence-threshold rule, gamma > 1 and finite, the size rule, alpha in
 (0, 1), and the alternatives' rule, theta in (0, 1e150];
 ``ttest`` owns its means, finite with magnitude at most 1e100, and its
-scale statistic U, positive and finite; ``TTestSetting`` owns its
+scale statistic U, positive and finite, and the sample mean y of
+``t_log_bf`` takes the means' rule; ``TTestSetting`` owns its
 sigma_true, in [1e-53 sqrt(n) gamma_n/(gamma_n - 1), 1e100], and its
 priors, finite and nonnegative; ``ExpFamilyModel`` requires n, theta0 and
-the nuisance to be finite.  Every entry point that takes one of these
-inputs calls its owner, so an input outside the domain fails as the same
-``DomainError`` everywhere (exit 1 at the command line), before any root,
-kernel or draw runs.
+the nuisance to be finite, and ``expfam_log_bf`` its sufficient
+statistic y, finite and of either sign.  Every entry point that takes one
+of these inputs calls its owner, so an input outside the domain fails as
+the same ``DomainError`` everywhere (exit 1 at the command line), before
+any root, kernel or draw runs.
 """
 
 import math
@@ -32,6 +34,7 @@ from umpbt import (
     UmpbtSolution,
     dlogbf_dy,
     dominance_check,
+    expfam_log_bf,
     gamma_vs_df_curve,
     log_bf_ncchisq,
     mc_rejection_rate,
@@ -209,6 +212,20 @@ def test_mean_outside_the_domain(monkeypatch, entry, mean):
 @pytest.mark.parametrize("mean", [1e100, -1e100])
 def test_mean_at_the_bound_is_accepted(entry, mean):
     MEAN_ENTRIES[entry](mean)
+
+
+@pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf, 1e308,
+                                  -math.nextafter(1e100, math.inf)])
+def test_sample_mean_outside_the_domain(mean):
+    # t_log_bf returned NaN at y = nan, and NaN with a RuntimeWarning at
+    # y = inf and 1e200, where n (y - theta0)^2 overflowed
+    with pytest.raises(DomainError, match=r"^sample mean y=.* must lie in \[-1e100, 1e100\]$"):
+        t_log_bf(mean, 1.0, 9.0, _SETTING)
+
+
+@pytest.mark.parametrize("mean", [1e100, -1e100])
+def test_sample_mean_at_the_bound_is_accepted(mean):
+    assert math.isfinite(t_log_bf(mean, 1.0, 9.0, _SETTING))
 
 
 def _sigma_lo(n, gamma):
@@ -422,3 +439,25 @@ def test_expfam_parameter_outside_the_domain(entry, value):
 ])
 def test_expfam_parameter_at_the_bound_is_accepted(entry, value):
     EXPFAM_ENTRIES[entry](value)
+
+
+STATISTIC_MODELS = {
+    "binomial-proportion": ExpFamilyModel("binomial-proportion", 0.3, 2, "greater"),
+    "normal-mean-known-variance": ExpFamilyModel("normal-mean-known-variance", 0.3, 10,
+                                                 "greater"),
+}
+
+
+@pytest.mark.parametrize("kind", STATISTIC_MODELS)
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_expfam_statistic_outside_the_domain(kind, y):
+    # a NaN statistic gave a NaN log Bayes factor, an infinite one +-inf
+    with pytest.raises(DomainError, match=r"^sufficient statistic y=.* must be finite$"):
+        expfam_log_bf(y, 0.5, STATISTIC_MODELS[kind])
+
+
+@pytest.mark.parametrize("kind", STATISTIC_MODELS)
+@pytest.mark.parametrize("y", [-4.0, 4.0])
+def test_expfam_statistic_finite_is_accepted(kind, y):
+    # a normal-mean statistic can be negative; the rule asks only finiteness
+    assert math.isfinite(expfam_log_bf(y, 0.5, STATISTIC_MODELS[kind]))
