@@ -193,29 +193,11 @@ class ExpFamilyModel:
 
     # -- family components ------------------------------------------------
 
-    def eta(self, theta):
-        """Natural parameter map; strictly increasing for every kind."""
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "binomial-proportion":
-            return np.log(theta) - np.log1p(-theta)
-        if self.kind == "normal-mean-known-variance":
-            return theta / self.nuisance
-        return -0.5 / theta
-
-    def log_partition(self, theta):
-        """Log-partition A(theta) of one observation."""
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "binomial-proportion":
-            return -self.nuisance * np.log1p(-theta)
-        if self.kind == "normal-mean-known-variance":
-            return theta**2 / (2.0 * self.nuisance)
-        return 0.5 * np.log(theta)
-
     def differences_from_null(self, theta: float) -> tuple[float, float]:
         """eta(theta) - eta(theta0) and A(theta) - A(theta0), formed from theta - theta0.
 
-        Subtracting the two values instead would cancel when theta sits
-        within a few ulps of theta0 on a large scale.
+        Forming eta and A at each and subtracting would cancel when theta
+        sits within a few ulps of theta0 on a large scale.
         """
         t0 = self.theta0
         d = theta - t0

@@ -119,10 +119,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _solution_payload(solution: UmpbtSolution, alpha=None) -> dict:
+def _solution_payload(solution: UmpbtSolution) -> dict:
     payload = {}
-    if alpha is not None:
-        payload["alpha"] = alpha
+    if solution.alpha is not None:
+        payload["alpha"] = solution.alpha
     if solution.df is not None:
         payload["df"] = solution.df
     payload.update(gamma=solution.gamma, theta_star=solution.theta_star,
@@ -140,13 +140,13 @@ def _solve_spec(df: float, gamma, alpha) -> UmpbtSolution:
 
 
 def _cmd_chisq(args) -> dict:
-    return _solution_payload(_solve_spec(args.df, args.gamma, args.alpha), args.alpha)
+    return _solution_payload(_solve_spec(args.df, args.gamma, args.alpha))
 
 
 def _cmd_bf(args) -> dict:
     solution = _solve_spec(args.df, args.gamma, args.alpha)
     log_bf = log_bf_ncchisq(args.stat, solution.theta_star, args.df)
-    return {"stat": args.stat, **_solution_payload(solution, args.alpha),
+    return {"stat": args.stat, **_solution_payload(solution),
             "log_bf": log_bf, "bf": LogValue(log_bf).exp()}
 
 

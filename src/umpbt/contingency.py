@@ -109,9 +109,10 @@ def parse_table(source, has_header: bool = False,
                 has_row_labels: bool = False) -> ContingencyTable:
     """Parse UTF-8 comma-separated counts into a validated table.
 
-    ``source`` may be bytes or a binary/text file object.  Row and column
-    positions in error messages are 1-based and count raw file rows and
-    columns, header and label cells included.
+    ``source`` may be bytes or a binary/text file object; one leading
+    byte-order mark (U+FEFF) is skipped.  Row and column positions in error
+    messages are 1-based and count raw file rows and columns, header and
+    label cells included.
     """
     if not isinstance(source, bytes) and not hasattr(source, "read"):
         raise ParseError(f"unsupported source type {type(source).__name__}")
@@ -123,6 +124,7 @@ def parse_table(source, has_header: bool = False,
     except UnicodeDecodeError as exc:
         raise ParseError(f"byte offset {exc.start}: 0x{exc.object[exc.start]:02x} "
                          f"is not valid {exc.encoding.upper()}") from None
+    text = text.removeprefix("\ufeff")  # one UTF-8 byte-order mark
 
     rows = []
     try:  # newline="" is the csv module's mode: a CR, LF or CRLF ends a row

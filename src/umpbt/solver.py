@@ -50,7 +50,6 @@ from .special import _check_df, chisq_cdf, chisq_quantile
 
 __all__ = [
     "UmpbtSolution",
-    "CurvePoint",
     "DEFAULT_CURVE_ALPHAS",
     "rejection_boundary",
     "rejection_boundary_grid",
@@ -79,7 +78,8 @@ class UmpbtSolution:
     (boundary, sup) and -1 when it is the lower one.  ``df`` is set for
     chi-squared solutions and ``None`` for exponential-family ones, whose
     ``theta_star``/``boundary`` may be negative (e.g. a lower-sided normal
-    mean).
+    mean).  ``alpha`` is the classical size a matched solution matches, and
+    ``None`` for a solve at a given threshold.
     """
 
     theta_star: float
@@ -87,27 +87,16 @@ class UmpbtSolution:
     gamma: float
     direction: int
     df: float | None = None
+    alpha: float | None = None
 
     def __post_init__(self) -> None:
         _check_gamma(self.gamma)
+        if self.alpha is not None:
+            _check_alpha(self.alpha)
         if self.direction not in (-1, 1):
             raise DomainError(f"direction must be -1 or +1, got {self.direction}")
         if not math.isfinite(self.theta_star) or not math.isfinite(self.boundary):
             raise DomainError("solution fields must be finite")
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One (df, alpha) point of the threshold-versus-df curve."""
-
-    df: float
-    alpha: float
-    gamma: float
-    theta_star: float
-
-    def __post_init__(self) -> None:
-        _check_gamma(self.gamma)
-        _check_theta(self.theta_star)
 
 
 def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -374,7 +363,7 @@ def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
     except NoRootError as exc:
         raise NoRootError(f"alpha={alpha}, df={df}: {exc}") from None
     return UmpbtSolution(theta_star=theta_star, boundary=y_alpha, gamma=math.exp(-neg_best),
-                         direction=1, df=df)
+                         direction=1, df=df, alpha=alpha)
 
 
 def solve_umpbt_expfam(model: ExpFamilyModel, gamma: float) -> UmpbtSolution:
@@ -388,6 +377,8 @@ def solve_umpbt_expfam(model: ExpFamilyModel, gamma: float) -> UmpbtSolution:
     theta* precise however close to the edge it lies; when n KL at the edge
     does not exceed log gamma no alternative reaches gamma, and the binomial
     needs gamma < theta0^(-n m) above theta0 and (1 - theta0)^(-n m) below.
+    A theta* that does not lie strictly on the alternative side of theta0
+    (gamma next to 1 on a fine scale) is a :class:`DomainError`.
     """
     _check_gamma(gamma)
     log_gamma = math.log(gamma)
@@ -414,6 +405,7 @@ def solve_umpbt_expfam(model: ExpFamilyModel, gamma: float) -> UmpbtSolution:
         else:
             base, step, factor = model.theta0, v, 10.0
             near = far = 1.0
+            # brentq from theta0 itself failed to converge (normal mean, sigma^2 1e-300)
             while excess(near) > 0.0:
                 far, near = near, 0.1 * near
         # widen by decades until [far, near] brackets the root
@@ -425,12 +417,21 @@ def solve_umpbt_expfam(model: ExpFamilyModel, gamma: float) -> UmpbtSolution:
             f"resolves on the {model.side!r} side of theta0={model.theta0}"
         )
 
-    # xtol is negligible, so the relative tolerance alone ends the search
-    finfo = np.finfo(float)
-    from scipy.optimize import brentq
-    t_star = brentq(excess, far, near, xtol=finfo.smallest_subnormal,
-                    rtol=4 * finfo.eps)
-    theta_star = base + step * t_star
+    # far equals near only where n KL already rounds above log gamma at theta0
+    theta_star = model.theta0
+    if far != near:
+        # xtol is negligible, so the relative tolerance alone ends the search
+        finfo = np.finfo(float)
+        from scipy.optimize import brentq
+        t_star = brentq(excess, far, near, xtol=finfo.smallest_subnormal,
+                        rtol=4 * finfo.eps)
+        theta_star = base + step * t_star
+    # at theta* = theta0 the Bayes factor is 1 for every y, so no y rejects
+    if not (theta_star - model.theta0) * v > 0.0:
+        raise DomainError(
+            f"theta* for gamma={gamma} lies closer to theta0={model.theta0} "
+            f"on the {model.side!r} side than double precision resolves"
+        )
     # n KL = log gamma at theta*, so the boundary [log gamma + n dA] / d eta
     # reduces to n E_theta*[T] and needs no differences near theta0
     return UmpbtSolution(
@@ -442,8 +443,8 @@ def solve_umpbt_expfam(model: ExpFamilyModel, gamma: float) -> UmpbtSolution:
     )
 
 
-def gamma_vs_df_curve(alphas, df_max: int) -> list[CurvePoint]:
-    """Matched (gamma, theta_star) for df = 1..df_max at each size in alphas.
+def gamma_vs_df_curve(alphas, df_max: int) -> list[UmpbtSolution]:
+    """Matched solutions for df = 1..df_max at each size in alphas.
 
     Points are emitted in deterministic (df, alpha) order; solver failures
     propagate with the offending pair attached to the message.
@@ -457,13 +458,11 @@ def gamma_vs_df_curve(alphas, df_max: int) -> list[CurvePoint]:
     if int(df_max) != df_max:
         raise DomainError(f"df_max must be a positive integer, got {df_max}")
 
-    points: list[CurvePoint] = []
+    points: list[UmpbtSolution] = []
     for df in range(1, int(df_max) + 1):
         for alpha in alphas:
             try:
-                sol = match_gamma_to_alpha(ChiSqTestSpec(df=float(df), alpha=alpha))
+                points.append(match_gamma_to_alpha(ChiSqTestSpec(df=float(df), alpha=alpha)))
             except Exception as exc:
                 raise type(exc)(f"df={df}, alpha={alpha}: {exc}") from exc
-            points.append(CurvePoint(df=float(df), alpha=alpha, gamma=sol.gamma,
-                                     theta_star=sol.theta_star))
     return points

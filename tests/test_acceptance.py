@@ -184,9 +184,8 @@ def test_criterion_6_oracle_agreement():
                            side="greater", nuisance=1.0)
     sol = solve_umpbt_expfam(model, 3.0)
     grid = np.linspace(0.5 + 1e-7, 1.0 - 1e-9, 100_000)
-    objective = (math.log(3.0) + 20.0 * (model.log_partition(grid)
-                                         - float(model.log_partition(0.5)))) / (
-        model.eta(grid) - float(model.eta(0.5)))
+    differences = [model.differences_from_null(float(t)) for t in grid]
+    objective = [(math.log(3.0) + 20.0 * d_a) / d_eta for d_eta, d_a in differences]
     best = grid[int(np.argmin(objective))]
     grid_ok = abs(sol.theta_star - best) <= float(grid[1] - grid[0])
 

@@ -327,7 +327,8 @@ class TestExpFamilyModel:
                   "normal-variance-known-mean": 1.0}
         for kind, grid in grids.items():
             model = ExpFamilyModel(kind=kind, theta0=theta0[kind], n=3, side="greater")
-            assert np.all(np.diff(model.eta(grid)) > 0)
+            d_eta = [model.differences_from_null(float(t))[0] for t in grid]
+            assert np.all(np.diff(d_eta) > 0)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -251,6 +251,14 @@ class TestContingencyCommand:
         assert invoke(["contingency", str(cr)] + flags) == invoke(
             ["contingency", WHITE_CSV] + flags)
 
+    @pytest.mark.parametrize("fmt", ([], ["--json"]))
+    def test_byte_order_mark_file_matches_plain_file(self, tmp_path, fmt):
+        bom = tmp_path / "white-bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(WHITE_CSV).read_bytes())
+        flags = ["--header", "--row-labels"] + fmt
+        assert invoke(["contingency", str(bom)] + flags) == invoke(
+            ["contingency", WHITE_CSV] + flags)
+
     def test_oversized_cell_maps_to_parse_error(self, tmp_path):
         big = tmp_path / "big.csv"
         big.write_bytes(b"1,2\n3," + b"9" * 200_000 + b"\n")

@@ -113,6 +113,23 @@ class TestParseTable:
         table = parse_table(io.StringIO("5,6\n7,8\n"))
         assert table.grand_total == 26
 
+    @pytest.mark.parametrize("source", [b"\xef\xbb\xbf10,20\n30,40\n",
+                                        io.StringIO("\ufeff10,20\n30,40\n")],
+                             ids=["bytes", "text"])
+    def test_byte_order_mark_is_skipped(self, source):
+        # the mark read as part of the first cell: "'\ufeff10' is not a number"
+        np.testing.assert_array_equal(parse_table(source).counts, [[10, 20], [30, 40]])
+
+    def test_byte_order_mark_leaves_header_labels(self):
+        # without row labels, the first column label started with U+FEFF
+        data = b"a,b\n1,2\n3,4\n"
+        table = parse_table(b"\xef\xbb\xbf" + data, has_header=True)
+        assert table.col_labels == parse_table(data, has_header=True).col_labels == ("a", "b")
+
+    def test_byte_order_mark_keeps_decode_offsets(self):
+        with pytest.raises(ParseError, match=r"byte offset 9: 0xff is not valid UTF-8"):
+            parse_table(b"\xef\xbb\xbfa,b\n1,\xff\n", has_header=True)
+
     def test_text_stream_invalid_utf8_names_byte_offset(self):
         stream = io.TextIOWrapper(io.BytesIO(b"1,\xff\n3,4\n"), encoding="utf-8")
         with pytest.raises(ParseError, match=r"byte offset 2: 0xff is not valid UTF-8"):

@@ -26,7 +26,6 @@ import pytest
 
 from umpbt import (
     ChiSqTestSpec,
-    CurvePoint,
     DomainError,
     ExpFamilyModel,
     NoncentralChiSq,
@@ -134,7 +133,6 @@ GAMMA_ENTRIES = {
     "ChiSqTestSpec": lambda g: ChiSqTestSpec(df=6.0, gamma=g),
     "UmpbtSolution": lambda g: UmpbtSolution(theta_star=7.0, boundary=12.0, gamma=g,
                                              direction=1, df=6.0),
-    "CurvePoint": lambda g: CurvePoint(df=6.0, alpha=0.05, gamma=g, theta_star=7.0),
     "rejection_boundary": lambda g: rejection_boundary(2.0, g, 6.0),
     "rejection_boundary_grid": lambda g: rejection_boundary_grid(np.array([2.0]), g, 6.0),
     "rejection_probability": lambda g: rejection_probability(2.0, 1.0, g, 6.0),
@@ -269,7 +267,6 @@ THETA_ENTRIES = {
     "rejection_boundary": lambda t: rejection_boundary(t, 3.0, 6.0),
     "rejection_boundary_grid": lambda t: rejection_boundary_grid(np.array([2.0, t]), 3.0, 6.0),
     "mc_rejection_rate": lambda t: mc_rejection_rate([2.0, t], 1.0, 3.0, 6.0, 100, 1),
-    "CurvePoint": lambda t: CurvePoint(df=6.0, alpha=0.05, gamma=3.0, theta_star=t),
 }
 
 
@@ -323,6 +320,8 @@ def test_theta_t_at_the_bound_is_accepted(entry, theta_t):
 
 ALPHA_ENTRIES = {
     "ChiSqTestSpec": lambda a: ChiSqTestSpec(df=6.0, alpha=a),
+    "UmpbtSolution": lambda a: UmpbtSolution(theta_star=7.0, boundary=12.0, gamma=3.0,
+                                             direction=1, df=6.0, alpha=a),
     "gamma_vs_df_curve": lambda a: gamma_vs_df_curve([0.05, a], 1),
 }
 
@@ -461,3 +460,22 @@ def test_expfam_statistic_outside_the_domain(kind, y):
 def test_expfam_statistic_finite_is_accepted(kind, y):
     # a normal-mean statistic can be negative; the rule asks only finiteness
     assert math.isfinite(expfam_log_bf(y, 0.5, STATISTIC_MODELS[kind]))
+
+
+# gamma next to 1 on a fine scale: theta* rounded to theta0, where the Bayes
+# factor is 1 for every y, and the solve returned that test, which never
+# rejects, with exit 0; on the binomial's greater side n KL rounded above
+# log gamma at theta0 itself, and brentq raised ValueError
+@pytest.mark.parametrize("kind, theta0, n, gamma, side, nuisance", [
+    ("normal-mean-known-variance", 5.0, 1, 1.0001, "less", 1e-28),
+    ("normal-mean-known-variance", 5.0, 1, 1.0001, "less", 1e-200),
+    ("binomial-proportion", 0.3, 10**15, 1.0000001, "less", 1.0),
+    ("binomial-proportion", 0.3, 10**15, 1.0000001, "greater", 1.0),
+])
+def test_expfam_theta_star_at_theta0_is_outside_the_domain(kind, theta0, n, gamma, side,
+                                                           nuisance):
+    model = ExpFamilyModel(kind=kind, theta0=theta0, n=n, side=side, nuisance=nuisance)
+    message = (rf"^theta\* for gamma={gamma} lies closer to theta0={theta0} on the "
+               rf"'{side}' side than double precision resolves$")
+    with pytest.raises(DomainError, match=message):
+        solve_umpbt_expfam(model, gamma)
