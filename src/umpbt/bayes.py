@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import xlog1py
 
 from .errors import DomainError
 from .special import _check_df, _check_statistic, log_bessel_i_array
@@ -208,22 +208,24 @@ class ExpFamilyModel:
             return d / self.nuisance, d * (theta + t0) / (2.0 * self.nuisance)
         return 0.5 * d / theta / t0, 0.5 * math.log1p(d / t0)
 
-    def mean_statistic(self, theta):
+    def mean_statistic(self, theta: float) -> float:
         """Mean E_theta[T(x)] of one observation's sufficient statistic."""
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "binomial-proportion":
-            return self.nuisance * theta
-        return theta
+        return self.nuisance * theta if self.kind == "binomial-proportion" else theta
 
-    def kl_divergence(self, theta):
-        """KL(f_theta || f_theta0) of one observation; 0 at theta0, growing away."""
-        theta = np.asarray(theta, dtype=float)
+    def kl_divergence(self, theta: float) -> float:
+        """KL(f_theta || f_theta0) of one observation; 0 at theta0, growing away.
+
+        Formed from theta - theta0, as the differences are: rounded ratios
+        theta / theta0 would swamp KL ~ (theta - theta0)^2 next to theta0.
+        The normal variance keeps r = theta / theta0, which its edge at 0 needs.
+        """
         t0 = self.theta0
+        d = theta - t0
         if self.kind == "binomial-proportion":
-            return self.nuisance * (xlogy(theta, theta / t0)
-                                    + xlogy(1.0 - theta, (1.0 - theta) / (1.0 - t0)))
+            return self.nuisance * (xlog1py(theta, d / t0)
+                                    + xlog1py(1.0 - theta, -d / (1.0 - t0)))
         if self.kind == "normal-mean-known-variance":
-            return (theta - t0) ** 2 / (2.0 * self.nuisance)
+            return d * d / (2.0 * self.nuisance)
         r = theta / t0
         return 0.5 * (r - 1.0 - np.log(r))
 

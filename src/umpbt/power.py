@@ -19,7 +19,8 @@ from .bayes import _TINIEST, ChiSqTestSpec, _check_gamma, _check_theta, _log_bf_
 from .errors import DomainError
 # rejection_boundary is not called here; perfbench/tests/test_bench_trace.py
 # asserts the binding power.rejection_boundary until ROADMAP Direction 1 drops it
-from .solver import rejection_boundary, rejection_boundary_grid, solve_umpbt_chisq  # noqa: F401
+from .solver import (_check_boundary_args, rejection_boundary,  # noqa: F401
+                     rejection_boundary_grid, solve_umpbt_chisq)
 from .special import (NoncentralChiSq, _check_df, _check_draws, noncentral_chisq_sf,
                       sample_noncentral_chisq)
 
@@ -82,14 +83,18 @@ def dominance_check(gamma: float, df: float, theta_grid=None,
     and the noncentralities 0, theta*/2, theta*, 2 theta* and 5 theta*.
     """
     spec = ChiSqTestSpec(df=df, gamma=gamma)
-    if theta_t_grid is not None:  # building each law checks its theta_t before the solve
+    # given grids are checked before the solve: each theta_t by building its
+    # law, each theta by the boundary rule
+    if theta_t_grid is not None:
         dists = [NoncentralChiSq(df, float(t))
                  for t in np.sort(np.asarray(theta_t_grid, dtype=float))]
+    if theta_grid is not None:
+        theta_grid = np.sort(np.asarray(theta_grid, dtype=float))
+        _check_boundary_args(theta_grid, gamma, df)
     theta_star = solve_umpbt_chisq(spec).theta_star
 
     if theta_grid is None:
         theta_grid = np.geomspace(theta_star / 100.0, theta_star * 100.0, 50)
-    theta_grid = np.sort(np.asarray(theta_grid, dtype=float))
     if theta_t_grid is None:
         dists = [NoncentralChiSq(df, k * theta_star) for k in (0.0, 0.5, 1.0, 2.0, 5.0)]
     if theta_grid.size == 0 or not dists:

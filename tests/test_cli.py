@@ -333,6 +333,17 @@ class TestExpfamCommand:
                        "precision resolves on the 'less' side of theta0=1.0\n")
 
 
+    def test_binomial_theta_star_next_to_theta0(self):
+        # the true root is 0.30000000648; a KL from rounded ratios gave 0.3
+        code, out, _ = invoke(["expfam", "--model", "binomial-proportion",
+                               "--theta0", "0.3", "--n", "1000000000",
+                               "--gamma", "1.0000001", "--side", "greater"])
+        assert code == 0
+        record, _ = parse_plain(out)
+        assert record["theta_star"] == "0.3000000065"
+        assert record["boundary"] == "300000006.5"
+
+
 class TestPowerCommand:
     def test_rows_and_verdict(self):
         code, out, _ = invoke(["power", "--df", "2", "--gamma", "3",

@@ -75,6 +75,19 @@ class TestDominanceCheck:
         with pytest.raises(DomainError):
             dominance_check(3.0, 2.0, theta_grid=[], theta_t_grid=[0.0])
 
+    @pytest.mark.parametrize("theta_grid, message", [
+        ([-1.0, 2.0], r"^noncentrality theta=-1\.0 must lie in"),
+        ([1e-320, 2.0], r"^noncentrality theta=1e-320 must be at least"),
+        ([math.nan], r"^noncentrality theta=nan must lie in"),
+        ([1e200], r"^noncentrality theta=1e\+200 must lie in"),
+    ])
+    def test_theta_grid_checked_before_the_solve(self, monkeypatch, theta_grid, message):
+        solves = []
+        monkeypatch.setattr(power, "solve_umpbt_chisq", lambda spec: solves.append(spec))
+        with pytest.raises(DomainError, match=message):
+            dominance_check(3.46, 6.0, theta_grid=theta_grid)
+        assert solves == []
+
     # the default grids, and a descending grid that holds a repeat
     GRIDS = [(3.46, 6.0, None, None), (3.0, 2.0, [9.0, 4.0, 4.0, 0.5], [6.0, 0.0, 1.5])]
 

@@ -685,6 +685,25 @@ class TestSolveExpFamily:
             oracle, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("side", ["greater", "less"])
+    @pytest.mark.parametrize("n", [10**6, 10**9, 10**12, 10**15])
+    def test_binomial_root_next_to_theta0(self, side, n):
+        """theta* - theta0 ~ 6.5e-12 at n 1e15: KL ~ (theta - theta0)^2 is formed
+        from that difference, so theta* stays within 4 ulps of the root."""
+        model = ExpFamilyModel(kind="binomial-proportion", theta0=0.3, n=n, side=side,
+                               nuisance=1.0)
+        oracle = oracles.binomial_theta_star_mp(0.3, 1, n, 1.0000001, side)
+        theta_star = solve_umpbt_expfam(model, 1.0000001).theta_star
+        assert abs(theta_star - oracle) <= 4 * math.ulp(oracle)
+
+    @pytest.mark.parametrize("side, theta_star", [("less", 0.2999999999935193),
+                                                  ("greater", 0.30000000000648075)])
+    def test_binomial_theta_star_at_large_n(self, side, theta_star):
+        # these inputs were a near-theta0 domain error while KL rounded theta / theta0
+        model = ExpFamilyModel(kind="binomial-proportion", theta0=0.3, n=10**15,
+                               side=side, nuisance=1.0)
+        assert solve_umpbt_expfam(model, 1.0000001).theta_star == theta_star
+
+    @pytest.mark.parametrize("side", ["greater", "less"])
     def test_binomial_threshold_beyond_edge_bound(self, side):
         """n KL tends to log 2 at either edge for theta0 = 1/2, n m = 1, so no
         alternative reaches gamma = 100: the bound is gamma < 2."""
