@@ -7,12 +7,13 @@ everyone else's.  Consequently the alternative maximizing the rejection
 probability depends on the data-generating mean, so no single alternative
 is uniformly best.
 
-This script makes that concrete.  The probability that the test accepts
+This script makes that concrete.  The probability A that the test accepts
 is exact, one quadrature over the chi-squared law of the within-sample
-scale, so it keeps its precision where the test almost surely rejects:
-the most powerful alternative for a true mean of 2 differs from the one
-for a true mean of 4.  A seeded Monte Carlo over simulated datasets checks
-the rejection rate at each.
+scale, so it keeps its precision where the test almost surely rejects.
+The most powerful alternative is the root of dA/dtheta, which is closed
+form up to a Bessel-function ratio: the one for a true mean of 2 differs
+from the one for a true mean of 4.  A seeded Monte Carlo over simulated
+datasets checks the rejection rate at each.
 
 Run:  python demos/06_t_test_no_uniform_alternative.py
 """

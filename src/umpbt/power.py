@@ -83,8 +83,10 @@ def dominance_check(gamma: float, df: float, theta_grid=None,
     and the noncentralities 0, theta*/2, theta*, 2 theta* and 5 theta*.
     """
     spec = ChiSqTestSpec(df=df, gamma=gamma)
-    # given grids are checked before the solve: each theta_t by building its
-    # law, each theta by the boundary rule
+    # given grids are checked before the solve: each for its size, each theta_t
+    # by building its law, each theta by the boundary rule
+    if any(grid is not None and np.size(grid) == 0 for grid in (theta_grid, theta_t_grid)):
+        raise DomainError("dominance grids must be nonempty")
     if theta_t_grid is not None:
         dists = [NoncentralChiSq(df, float(t))
                  for t in np.sort(np.asarray(theta_t_grid, dtype=float))]
@@ -97,8 +99,6 @@ def dominance_check(gamma: float, df: float, theta_grid=None,
         theta_grid = np.geomspace(theta_star / 100.0, theta_star * 100.0, 50)
     if theta_t_grid is None:
         dists = [NoncentralChiSq(df, k * theta_star) for k in (0.0, 0.5, 1.0, 2.0, 5.0)]
-    if theta_grid.size == 0 or not dists:
-        raise DomainError("dominance grids must be nonempty")
 
     boundaries = rejection_boundary_grid(np.append(theta_grid, theta_star), gamma, df)
     # H over [grid..., theta*], one row per theta_t; the survival function is

@@ -7,8 +7,8 @@ the scale statistic U = sum (x_i - xbar)^2 + 2 beta.  The evidence region
 alternative in a non-nested way, so no alternative's region covers all the
 others and the most powerful alternative changes with the data-generating
 mean.  This module quantifies that: for each data-generating mean it finds
-the alternative that minimizes the exact probability that the test accepts
-(one quadrature), and flags the disagreement.
+the alternative that minimizes the exact probability A that the test accepts
+(one quadrature), as the root of dA/dtheta, and flags the disagreement.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .bayes import _check_gamma
+from .bayes import _bessel_ratio, _check_gamma
 from .errors import DomainError
-from .solver import _golden_min
 from .special import _check_draws
 
 __all__ = [
@@ -179,6 +178,18 @@ def t_region(theta: float, u_stat: float, setting: TTestSetting) -> QuadraticReg
     return QuadraticRegion(*sorted((setting.theta0 + near, setting.theta0 + far)), empty=False)
 
 
+def _acceptance_law(theta: float, theta_t: float, setting: TTestSetting) -> tuple:
+    """(r, mu, u, g - 1), u = (c - theta0)/sigma: the test accepts iff
+    sum (x_i - c)^2 / sigma^2 ~ chi'2_n(mu^2) is at least r, and r is 0 where
+    no dataset rejects."""
+    n, sigma = setting.n, setting.sigma_true
+    g_minus_1, shift = _center_shift(theta, setting)
+    unit_shift = shift / sigma      # in units of sigma, so n shift^2 overflows only with r
+    r = n * unit_shift * unit_shift / (1.0 + g_minus_1) - 2.0 * setting.beta_prior / sigma ** 2
+    mu = math.sqrt(n) * (theta_t - setting.theta0 - shift) / sigma
+    return max(r, 0.0), mu, unit_shift, g_minus_1
+
+
 def _acceptance_prob(theta: float, theta_t: float, setting: TTestSetting) -> float:
     """Exact probability A that the test at ``theta`` accepts when the mean is ``theta_t``.
 
@@ -198,13 +209,10 @@ def _acceptance_prob(theta: float, theta_t: float, setting: TTestSetting) -> flo
     """
     from scipy.integrate import quad
 
-    n, sigma, df = setting.n, setting.sigma_true, setting.n - 1.0
-    g_minus_1, shift = _center_shift(theta, setting)
-    unit_shift = shift / sigma      # in units of sigma, so n shift^2 overflows only with r
-    r = n * unit_shift * unit_shift / (1.0 + g_minus_1) - 2.0 * setting.beta_prior / sigma ** 2
+    df = setting.n - 1.0
+    r, mu, _, _ = _acceptance_law(theta, theta_t, setting)
     if not r > 0.0:
         return 1.0
-    mu = math.sqrt(n) * (theta_t - setting.theta0 - shift) / sigma
     log_norm = -(df / 2.0) * math.log(2.0) - math.lgamma(df / 2.0)
 
     def z_tail(w: float) -> float:
@@ -221,6 +229,26 @@ def _acceptance_prob(theta: float, theta_t: float, setting: TTestSetting) -> flo
         return tail
     # full_output=1 returns, not warns, quad's roundoff reports (A < 1e-100, n ~ 3e4)
     return tail + quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11, full_output=1)[0]
+
+
+def _acceptance_slope(theta: float, theta_t: float, setting: TTestSetting) -> float:
+    """dA/dtheta over f_n(r; mu^2) > 0, the chi'2_n(mu^2) density at r.
+
+    As A = P(chi'2_n(mu^2) >= r), dA/dr = -f_n and dA/d(mu^2) = f_{n+2}, and
+    f_{n+2}/f_n = r R(z)/z with z = |mu| sqrt(r), R = I_{n/2}/I_{n/2-1}, so
+
+        dA/dtheta / f_n = -r' + 2 mu mu' r R(z)/z,
+
+    r' = 2 n u/(sigma (g - 1)), mu' = -sqrt(n) g/(sigma (g - 1)).  Where no
+    dataset rejects (r = 0), A is 1 and this is its limit r -> 0+, -r'.
+    """
+    n, sigma = setting.n, setting.sigma_true
+    r, mu, unit_shift, g_minus_1 = _acceptance_law(theta, theta_t, setting)
+    z = abs(mu) * math.sqrt(r)
+    # R(z)/z = (1 - z^2/(n (n + 2)) + ...)/n: 1/n in double below z = 1e-8
+    ratio = float(_bessel_ratio(z, n)) / z if z > 1e-8 else 1.0 / n
+    return -2.0 * (n * unit_shift + math.sqrt(n) * (1.0 + g_minus_1) * mu * r * ratio) / (
+        sigma * g_minus_1)
 
 
 def _mc_rejection(theta: float, theta_t: float, setting: TTestSetting,
@@ -251,21 +279,29 @@ def t_rejection_prob(theta: float, theta_t: float, setting: TTestSetting,
 
 def _argmax_for(theta_t: float, setting: TTestSetting, n_draws: int,
                 seed: int) -> tuple[TTestArgmax, float]:
+    """(row, grid step) for one data-generating mean.
+
+    Scans A over 240 alternatives.  A unique minimal cell k gives the root of
+    :func:`_acceptance_slope` on [grid[k-1], grid[k+1]] where the slope runs
+    from negative to positive there, and grid[k] otherwise (an end of the
+    grid); ``max_prob`` is 1 - A at the argmax.
+    """
+    from scipy.optimize import brentq
+
     span = (theta_t - setting.theta0) or 4.0 * setting.sigma_true
     grid = setting.theta0 + _GRID_OFFSETS * span
     accept = np.array([_acceptance_prob(float(t), theta_t, setting) for t in grid])
     step = abs(float(grid[1] - grid[0]))
     ties = np.flatnonzero(accept == accept.min())
+    # A ties only where it underflows to 0 (or no dataset rejects, A = 1): the
+    # argmax is the run's midpoint
+    lo, hi = sorted(float(grid[i]) for i in (ties[0], ties[-1]))
+    x, min_accept = 0.5 * (lo + hi), float(accept[ties[0]])
     if ties.size == 1:
-        # unique minimal cell: refine it to 1e-6 of a step by golden section
-        a, b = sorted(grid[[max(ties[0] - 1, 0), min(ties[0] + 1, len(grid) - 1)]])
-        x, min_accept = _golden_min(lambda t: _acceptance_prob(t, theta_t, setting),
-                                    float(a), float(b), step * 1e-6)
-        lo = hi = x = float(x)
-    else:
-        # A ties only where it underflows to 0 (or no dataset rejects, A = 1)
-        lo, hi = sorted(float(grid[i]) for i in (ties[0], ties[-1]))
-        x, min_accept = 0.5 * (lo + hi), float(accept[ties[0]])
+        a, b = sorted(map(float, grid[[max(ties[0] - 1, 0), min(ties[0] + 1, len(grid) - 1)]]))
+        if _acceptance_slope(a, theta_t, setting) < 0.0 < _acceptance_slope(b, theta_t, setting):
+            lo = hi = x = brentq(_acceptance_slope, a, b, args=(theta_t, setting), xtol=5e-324)
+            min_accept = _acceptance_prob(x, theta_t, setting)
     row = TTestArgmax(theta_t=theta_t, argmax_theta=x, max_prob=1.0 - float(min_accept),
                       plateau_lo=lo, plateau_hi=hi,
                       mc_prob=_mc_rejection(x, theta_t, setting, n_draws, seed))
@@ -276,8 +312,9 @@ def nonexistence_demo(setting: TTestSetting, theta_t_list, n_draws: int,
                       seed: int) -> NonexistenceReport:
     """Locate the most powerful alternative for each data-generating mean.
 
-    Scans the exact acceptance probability over 240 alternatives from theta0
-    to 1.6 theta_t and refines its minimal cell by golden section.  Flags
+    Scans the exact acceptance probability A over 240 alternatives from
+    theta0 to 1.6 theta_t and takes the argmax in its minimal cell as the
+    root of the first-order condition dA/dtheta = 0.  Flags
     non-existence of a uniformly most powerful alternative when the argmaxes
     spread farther apart than the coarsest grid step.  ``n_draws`` and
     ``seed`` drive only the Monte Carlo column.

@@ -263,3 +263,44 @@ def matched_theta_star_mp(y: float, df: float, z0: float) -> float:
         z0_ = mp.mpf(z0)
         z = mp.findroot(excess, (z0_, z0_ * (1 + mp.mpf("1e-10"))))
         return float(z**2 / y_)
+
+
+def t_argmax_mp(theta_t: float, setting, x0: float) -> float:
+    """The t-test's most powerful alternative: the root in theta of dA/dtheta,
+    where A = P(chi'2_n(mu^2) >= r) is the probability that the test accepts.
+
+    In 40-digit mpmath, g = gamma^(2/(n + 2 alpha_prior)), c - theta0 =
+    g (theta - theta0)/(g - 1), r = n (c - theta0)^2/(sigma^2 g) -
+    2 beta/sigma^2 and mu = sqrt(n) (theta_t - c)/sigma.  A is the
+    Poisson(mu^2/2) mixture of Q(n/2 + k, r/2), summed term by term from
+    k = 0: each Q comes from the one before as Q(s + 1, x) = Q(s, x) +
+    x^s e^-x / Gamma(s + 1), a sum of positive terms, and the sum stops once,
+    past the largest term, a term falls below the working epsilon of the
+    total.  ``mpmath.diff`` differentiates A and ``mpmath.findroot`` takes
+    the root by the secant method from the float argmax ``x0``.
+    """
+    with mp.workdps(40):
+        n, sigma = mp.mpf(setting.n), mp.mpf(setting.sigma_true)
+        theta0, beta = mp.mpf(setting.theta0), mp.mpf(setting.beta_prior)
+        g = mp.mpf(setting.gamma) ** (2 / (n + 2 * mp.mpf(setting.alpha_prior)))
+
+        def accept(theta):
+            shift = g * (theta - theta0) / (g - 1)
+            lam = n * (mp.mpf(theta_t) - theta0 - shift) ** 2 / (2 * sigma**2)
+            a, x = n / 2, n * shift**2 / (2 * sigma**2 * g) - beta / sigma**2
+            weight, tail = mp.exp(-lam), mp.gammainc(a, x, mp.inf, regularized=True)
+            step = mp.exp(a * mp.log(x) - x - mp.loggamma(a + 1))
+            total, k = mp.mpf(0), 0
+            while True:
+                term = weight * tail
+                total += term
+                if term < mp.eps * total:     # only past the largest term
+                    return total
+                k += 1
+                weight *= lam / k
+                tail += step
+                step *= x / (a + k)
+
+        x0_ = mp.mpf(x0)
+        return float(mp.findroot(lambda t: mp.diff(accept, t),
+                                 (x0_, x0_ * (1 + mp.mpf("1e-10")))))

@@ -75,6 +75,14 @@ class TestDominanceCheck:
         with pytest.raises(DomainError):
             dominance_check(3.0, 2.0, theta_grid=[], theta_t_grid=[0.0])
 
+    @pytest.mark.parametrize("grids", [{"theta_grid": []}, {"theta_t_grid": []}])
+    def test_empty_grid_rejected_before_the_solve(self, monkeypatch, grids):
+        solves = []
+        monkeypatch.setattr(power, "solve_umpbt_chisq", lambda spec: solves.append(spec))
+        with pytest.raises(DomainError, match=r"^dominance grids must be nonempty$"):
+            dominance_check(3.46, 6.0, **grids)
+        assert solves == []
+
     @pytest.mark.parametrize("theta_grid, message", [
         ([-1.0, 2.0], r"^noncentrality theta=-1\.0 must lie in"),
         ([1e-320, 2.0], r"^noncentrality theta=1e-320 must be at least"),

@@ -18,7 +18,8 @@ from umpbt import (
     t_rejection_prob,
 )
 from umpbt.special import NoncentralChiSq, noncentral_chisq_sf
-from umpbt.ttest import _acceptance_prob, _center_shift, _t_log_bf_array
+from umpbt.ttest import (_GRID_OFFSETS, _acceptance_law, _acceptance_prob, _acceptance_slope,
+                         _center_shift, _t_log_bf_array)
 
 DEMO = TTestSetting(n=10, theta0=0.0, alpha_prior=0.0, beta_prior=0.0,
                     gamma=3.0, sigma_true=1.0)
@@ -289,13 +290,83 @@ class TestNonexistenceDemo:
         assert abs(a4 - a2) > report.refine_tol
 
     def test_demo_argmaxes_are_exact(self):
-        """The minimizers of the exact acceptance probability, found with
-        the 50-digit oracle: A is 2.894e-6 and 1.331e-25 there."""
+        """The minimizers of the exact acceptance probability, the roots of
+        mpmath.diff of the 50-digit Poisson mixture A: A is 2.894e-6 and
+        1.331e-25 there."""
         report = nonexistence_demo(DEMO, [2.0, 4.0], 1000, seed=1)
         row2, row4 = report.rows
-        assert row2.argmax_theta == pytest.approx(0.6648356838, abs=1e-7)
-        assert row4.argmax_theta == pytest.approx(0.9736206280, abs=1e-7)
+        assert row2.argmax_theta == pytest.approx(0.66483568364479497, rel=1e-12)
+        assert row4.argmax_theta == pytest.approx(0.97362062779784105, rel=1e-12)
         assert 1.0 - row2.max_prob == pytest.approx(2.8938060594e-6, rel=1e-6)
+
+    @pytest.mark.parametrize("setting, means, rel", [
+        (DEMO, [2.0, 4.0], 1e-12),
+        (TTestSetting(n=3, theta0=1.0, alpha_prior=0.5, beta_prior=1.0, gamma=1.5,
+                      sigma_true=2.0), [-3.0, 5.0], 1e-12),
+        (TTestSetting(n=10, gamma=20.0), [1.0, 2.0], 1e-12),
+        (TTestSetting(n=50, gamma=100.0), [0.3, 1.0], 1e-12),
+        # z = |mu| sqrt(r) is 4.5e3 at the argmax, where R(z) carries its rounding
+        (TTestSetting(n=100, gamma=3.0), [2.0, 4.0], 2e-11),
+    ])
+    def test_argmaxes_against_mpmath_root(self, setting, means, rel):
+        """Each argmax away from a plateau is the root of dA/dtheta, here
+        against the 40-digit root of mpmath.diff of the Poisson mixture A
+        (at n 100 only theta_t 2: theta_t 4 is a plateau)."""
+        rows = [row for row in nonexistence_demo(setting, means, 10, seed=1).rows
+                if row.plateau_lo == row.plateau_hi]
+        assert len(rows) == (1 if setting.n == 100 else 2)
+        for row in rows:
+            exact = oracles.t_argmax_mp(row.theta_t, setting, row.argmax_theta)
+            assert row.argmax_theta == pytest.approx(exact, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("n, gamma, beta, theta_t, theta", [
+        (10, 3.0, 0.0, 2.0, 0.6),      # between theta0 and the argmax 0.6648
+        (3, 1.5, 1.0, -3.0, -1.2),     # beyond the argmax -0.9416
+        (50, 100.0, 0.0, 0.3, 0.5),    # beyond the argmax 0.4324
+        (10, 3.0, 1.0, -4.0, -0.6),    # between theta0 and the argmax -0.9818
+    ])
+    def test_slope_is_the_derivative_over_the_density(self, n, gamma, beta, theta_t, theta):
+        """_acceptance_slope times f_n(r; mu^2), the noncentral chi-squared
+        density from scipy's ive, is dA/dtheta: a five-point central
+        difference of the acceptance probability, step 3e-5 theta."""
+        setting = TTestSetting(n=n, gamma=gamma, beta_prior=beta)
+        h = 3e-5 * abs(theta)
+        accept = [_acceptance_prob(theta + k * h, theta_t, setting) for k in (-2, -1, 1, 2)]
+        difference = (accept[0] - 8.0 * accept[1] + 8.0 * accept[2] - accept[3]) / (12.0 * h)
+        r, df, mu2 = _region_law(theta, theta_t, setting)
+        density = math.exp(oracles.noncentral_chisq_log_density(r, df, mu2))
+        slope = _acceptance_slope(theta, theta_t, setting) * density
+        assert slope == pytest.approx(difference, rel=1e-9, abs=0.0)
+
+    def test_sweep_argmax_beats_its_grid_point(self):
+        """Over n 2-3000, gamma 1.01-100, beta 0 and 1 and theta_t on both
+        sides, each argmax of a unique minimal cell accepts no more often
+        than the grid points within a step of it (to quad's 1e-9), so than
+        the cell's own.  Where it is a root, not a grid point, the slope
+        changes sign across x (1 +- d), d = max(1e-9, 1e-12 z) with z =
+        |mu| sqrt(r): R(z)'s rounding, ~z ulps, bounds the root (FOUND)."""
+        rooted = 0
+        for n in (2, 3, 10, 100, 3000):
+            for gamma in (1.01, 3.0, 100.0):
+                for beta in (0.0, 1.0):
+                    setting = TTestSetting(n=n, gamma=gamma, beta_prior=beta)
+                    for row in nonexistence_demo(setting, [0.5, -4.0], 1, seed=1).rows:
+                        if row.plateau_lo < row.plateau_hi:
+                            continue
+                        x, theta_t = row.argmax_theta, row.theta_t
+                        grid = _GRID_OFFSETS * theta_t
+                        near = grid[np.abs(grid - x) <= 1.000001 * abs(grid[1] - grid[0])]
+                        best = min(_acceptance_prob(float(t), theta_t, setting) for t in near)
+                        assert _acceptance_prob(x, theta_t, setting) <= best * (1.0 + 1e-9)
+                        if x in grid:
+                            continue
+                        r, mu, _, _ = _acceptance_law(x, theta_t, setting)
+                        d = max(1e-9, 1e-12 * abs(mu) * math.sqrt(r))
+                        below, above = (_acceptance_slope(x * (1.0 + e), theta_t, setting)
+                                        for e in (-d, d))
+                        assert below * above < 0.0
+                        rooted += 1
+        assert rooted > 30
 
     def test_mc_prob_matches_the_exact_rate(self):
         draws = 200_000
@@ -327,7 +398,7 @@ class TestNonexistenceDemo:
         above = nonexistence_demo(DEMO, [2.0, 4.0], 1000, seed=1)
         below = nonexistence_demo(DEMO, [-2.0, -4.0], 1000, seed=1)
         for up, down in zip(above.rows, below.rows):
-            assert down.argmax_theta == pytest.approx(-up.argmax_theta, abs=1e-7)
+            assert down.argmax_theta == pytest.approx(-up.argmax_theta, rel=1e-12)
             assert down.max_prob == pytest.approx(up.max_prob, rel=1e-9)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -46,6 +46,9 @@ COMMANDS = [
     ["power", "--df", "6", "--gamma", "3.46"],
     ["ttest-demo", "--n", "10", "--gamma", "3", "--theta-t", "2,4",
      "--seed", "5", "--draws", "5000"],
+    # a descending grid, with a root row and a plateau row
+    ["ttest-demo", "--n", "100", "--gamma", "3", "--theta-t=-2,-4",
+     "--seed", "5", "--draws", "5000"],
 ]
 ERRORS = [
     ["chisq", "--df", "6"],
