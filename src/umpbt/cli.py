@@ -314,8 +314,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ttest-demo", help="t-test non-existence demonstration")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--theta-t", required=True,
-                   help="comma-separated data-generating means")
+    p.add_argument("--theta-t", required=True, help="comma-separated data-generating means; "
+                   "a negative first mean takes the = form, --theta-t=-2,-4")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--draws", type=int, default=100_000)
     p.set_defaults(handler=_cmd_ttest_demo)

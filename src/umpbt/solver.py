@@ -256,6 +256,8 @@ def _matched_z_root(y_alpha: float, df: float) -> float:
 
     z / R(z) rises from df as z -> 0; the log has slope 1 / z - R' / R.  The
     start solves the equation with Amos' R ~ z / (df/2 + sqrt(z^2 + df^2/4)).
+    The bracket starts unbounded: below df 1, R(z) > 1 at large z, so
+    y_alpha bounds no root.
     """
     log_y = math.log(y_alpha)
 

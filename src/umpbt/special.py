@@ -85,7 +85,10 @@ class LogValue:
 
 
 def _check_df(df: float) -> None:
-    """The one df rule of the chi-squared laws and of every test built on them."""
+    """The one df rule of the chi-squared laws and of every test built on them.
+
+    The laws share it: outside it ``chisq_quantile`` fails, at df 5e-324
+    and at many df from 1e18 on."""
     if not (_DF_MIN <= df <= _DF_MAX):
         raise DomainError(f"degrees of freedom df={df} must lie in [1e-10, 1e8]")
 

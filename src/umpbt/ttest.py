@@ -130,7 +130,12 @@ class TTestArgmax:
 
 @dataclass(frozen=True)
 class NonexistenceReport:
-    """Per-theta_t argmax table plus the non-existence verdict."""
+    """Per-theta_t argmax table plus the non-existence verdict.
+
+    ``refine_tol`` is not a refinement tolerance: it is the largest grid
+    step over the theta_t rows, and ``nonexistence`` is true when the
+    argmaxes lie further apart than it.
+    """
 
     setting: TTestSetting
     n_draws: int

@@ -542,6 +542,21 @@ class TestTtestDemoCommand:
         assert len(rows) == 2
         assert float(rows[0]["argmax_theta"]) < float(rows[1]["argmax_theta"])
 
+    def test_means_below_the_null_take_the_equals_form(self, capsys):
+        """argparse reads a value that starts with - as an option, so --help
+        shows the = form, which runs."""
+        code, out, _ = invoke(["ttest-demo", "--n", "10", "--gamma", "3",
+                               "--theta-t=-2,-4", "--seed", "5", "--draws", "100"])
+        assert code == 0 and len(parse_plain(out)[1]) == 2
+        code, out, err = invoke(["ttest-demo", "--n", "10", "--gamma", "3",
+                                 "--theta-t", "-2,-4"])
+        assert (code, out) == (1, "")
+        assert err.endswith("error: usage: argument --theta-t: expected one argument\n")
+        with pytest.raises(SystemExit) as stop:
+            run(["ttest-demo", "--help"])
+        assert stop.value.code == 0
+        assert "--theta-t=-2,-4" in capsys.readouterr().out
+
     def test_negative_seed_exits_one(self):
         code, out, err = invoke(["ttest-demo", "--n", "10", "--gamma", "3",
                                  "--theta-t", "2,4", "--seed", "-1", "--draws", "100"])
