@@ -10,6 +10,7 @@ A zero statistic is in the domain and returns log g's limit, -theta/2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,8 +178,9 @@ class ExpFamilyModel:
         if self.nuisance is None:  # one trial, unit variance, zero mean
             object.__setattr__(self, "nuisance",
                                0.0 if self.kind == "normal-variance-known-mean" else 1.0)
-        for name in ("n", "theta0", "nuisance"):  # the rules below assume finite values
-            if not math.isfinite(getattr(self, name)):
+        for name in ("n", "theta0", "nuisance"):  # the rules below assume finite doubles
+            # an exact comparison: an int past the largest double fails it too
+            if not abs(getattr(self, name)) <= sys.float_info.max:
                 raise DomainError(f"{name}={getattr(self, name)} must be finite")
         if int(self.n) != self.n or self.n < 1:
             raise DomainError(f"sample size must be a positive integer, got {self.n}")

@@ -13,6 +13,7 @@ solver failures.  Diagnostics go to stderr as ``error: <category>: <detail>``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -39,22 +40,17 @@ from .ttest import TTestSetting, nonexistence_demo
 __all__ = ["run", "main"]
 
 
-class _UsageError(Exception):
-    def __init__(self, parser: argparse.ArgumentParser, message: str):
-        super().__init__(message)
-        self.parser = parser
-
-
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reports usage problems instead of exiting, and wraps
-    usage at 78 columns, not at the terminal's width (argparse reads COLUMNS)."""
+    """ArgumentParser that exits with status 1 on a usage error, under an
+    ``error: usage:`` line, and wraps usage at 78 columns, not at the
+    terminal's width (argparse reads COLUMNS)."""
 
     def __init__(self, **kwargs):
         super().__init__(formatter_class=functools.partial(argparse.HelpFormatter, width=78),
                          **kwargs)
 
     def error(self, message: str):  # noqa: A003 - argparse API
-        raise _UsageError(self, message)
+        self.exit(1, f"{self.format_usage()}error: usage: {message}\n")
 
 
 def _round10(value):
@@ -327,16 +323,20 @@ def build_parser() -> _Parser:
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:
-    """Execute one CLI invocation; returns the exit status without exiting."""
+    """Execute one CLI invocation; returns the exit status without exiting.
+
+    While argparse parses, which prints help and usage errors and exits,
+    the process's ``sys.stdout`` and ``sys.stderr`` are swapped for the
+    given streams, and its exit status is returned.
+    """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = build_parser().parse_args(argv)
         payload = args.handler(args)
-    except _UsageError as exc:
-        print(exc.parser.format_usage(), end="", file=err)
-        print(f"error: usage: {exc}", file=err)
-        return 1
+    except SystemExit as exc:
+        return exc.code
     except UmpbtError as exc:
         print(f"error: {exc.category}: {exc}", file=err)
         return 2 if isinstance(exc, SolverError) else 1

@@ -212,10 +212,8 @@ def independence_bf(table: ContingencyTable, alpha: float = 0.05) -> Independenc
 
     Computes the Pearson statistic, derives the matched evidence threshold
     and alternative noncentrality for its degrees of freedom, and evaluates
-    the Bayes factor at the observed statistic.  Tables with the same
-    degrees of freedom at the same alpha share one matched solve per
-    process (see :func:`match_gamma_to_alpha`, keyed on (y_alpha, df) and
-    the Bayes-factor evaluator, and bounded at 128 keys).
+    the Bayes factor at the observed statistic.  The match is reused within
+    the process (see :func:`solver._matched_maximum`).
     """
     statistic, df = pearson_statistic(table)
     solution = match_gamma_to_alpha(ChiSqTestSpec(df=float(df), alpha=alpha))

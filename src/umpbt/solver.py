@@ -341,8 +341,8 @@ def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
     the maximizer is the matched alternative: r(theta) >= y_alpha for all
     theta precisely when g(y_alpha, theta) <= gamma, with equality at the
     maximizer, so the minimal boundary equals y_alpha exactly.  The
-    maximizer solves y_alpha R(z) = z, one root in z, reused from the 128
-    most recent (y_alpha, df, ``_log_bf_core``) keys of this process.  A
+    maximizer solves y_alpha R(z) = z, one root in z, reused within the
+    process (:func:`_matched_maximum` states the key and the bound).  A
     failed root raises :class:`NoRootError` naming (alpha, df).
     """
     if spec.alpha is None:

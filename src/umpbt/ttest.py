@@ -14,6 +14,7 @@ the alternative that minimizes the exact probability A that the test accepts
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,10 @@ class TTestSetting:
     sigma_true: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (2 <= self.n < math.inf and int(self.n) == self.n):
-            raise DomainError(f"sample size must be an integer >= 2, got {self.n}")
+        # an exact comparison: an int past the largest double fails it too
+        if not (2 <= self.n <= sys.float_info.max and int(self.n) == self.n):
+            raise DomainError(f"sample size must be an integer >= 2 and at most the "
+                              f"largest double, got n={self.n}")
         _check_mean(self.theta0, "null mean theta0")
         for name in ("alpha_prior", "beta_prior"):
             if not 0.0 <= getattr(self, name) <= 1e300:

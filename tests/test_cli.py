@@ -459,6 +459,15 @@ class TestPowerCommand:
         assert code == 1 and out == ""
         assert err == f"error: domain: grid spec {spec!r} needs a point count in [1, 2**20]\n"
 
+    @pytest.mark.parametrize("spec, detail", [("a:2:3", " has non-numeric fields"),
+                                              ("1:2:3:lin", ": unknown mode 'lin'"),
+                                              ("0:2:3:log",
+                                               ": log spacing needs positive endpoints")])
+    def test_grid_spec_messages(self, spec, detail):
+        code, out, err = invoke(["power", "--df", "6", "--gamma", "3", "--theta-grid", spec])
+        assert (code, out) == (1, "")
+        assert err == f"error: domain: grid spec {spec!r}{detail}\n"
+
     @pytest.mark.parametrize("mode", ["", ":log"])
     def test_grid_count_bound(self, mode):
         assert cli._parse_grid(f"1:2:{2**20}{mode}").shape == (2**20,)
@@ -523,6 +532,12 @@ class TestCurveCommand:
         assert code == 1
         assert err.startswith("error: domain:")
 
+    def test_empty_alphas_list(self, tmp_path):
+        code, out, err = invoke(["curve", "--alphas", ",", "--df-max", "2",
+                                 "-o", str(tmp_path / "c.csv")])
+        assert (code, out) == (1, "")
+        assert err == "error: domain: --alphas expects at least one number, got ','\n"
+
 
 class TestTtestDemoCommand:
     def test_malformed_theta_t_list(self):
@@ -542,7 +557,7 @@ class TestTtestDemoCommand:
         assert len(rows) == 2
         assert float(rows[0]["argmax_theta"]) < float(rows[1]["argmax_theta"])
 
-    def test_means_below_the_null_take_the_equals_form(self, capsys):
+    def test_means_below_the_null_take_the_equals_form(self):
         """argparse reads a value that starts with - as an option, so --help
         shows the = form, which runs."""
         code, out, _ = invoke(["ttest-demo", "--n", "10", "--gamma", "3",
@@ -552,10 +567,9 @@ class TestTtestDemoCommand:
                                  "--theta-t", "-2,-4"])
         assert (code, out) == (1, "")
         assert err.endswith("error: usage: argument --theta-t: expected one argument\n")
-        with pytest.raises(SystemExit) as stop:
-            run(["ttest-demo", "--help"])
-        assert stop.value.code == 0
-        assert "--theta-t=-2,-4" in capsys.readouterr().out
+        code, out, err = invoke(["ttest-demo", "--help"])
+        assert (code, err) == (0, "")
+        assert "--theta-t=-2,-4" in out
 
     def test_negative_seed_exits_one(self):
         code, out, err = invoke(["ttest-demo", "--n", "10", "--gamma", "3",
@@ -621,6 +635,14 @@ class TestOutputContract:
         assert floats
         assert all(float(f"{v:.10g}") == v for v in floats)
 
+    @pytest.mark.parametrize("argv", [["--help"], *[[command, "--help"] for command in (
+        "chisq", "bf", "contingency", "expfam", "power", "curve", "ttest-demo")]])
+    def test_help_is_returned_not_raised(self, argv):
+        """--help prints to run()'s stdout and returns 0, as argparse exits 0."""
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(" ".join(["usage: umpbt", *argv[:-1]]) + " ")
+
     def test_usage_error_does_not_follow_the_terminal_width(self, monkeypatch):
         # argparse wraps at COLUMNS unless the formatter's width is fixed
         outputs = []
@@ -641,10 +663,11 @@ class TestOutputContract:
         assert float(record["theta_star"]) == pytest.approx(7.311910528, abs=1e-6)
 
 
-def fresh_process(script, *args):
-    """Run a new interpreter on the source tree; returns (status, stdout, stderr)."""
+def fresh_process(script, *args, flag="-c"):
+    """Run ``python flag script *args`` on the source tree; returns (status,
+    stdout, stderr)."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+    proc = subprocess.run([sys.executable, flag, script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -701,6 +724,14 @@ class TestModuleEntry:
                                          "3.46", "--theta-t-grid", "0:inf:2")
         assert (status, out) == (1, "")
         assert err.startswith("error: domain:") and "'0:inf:2'" in err
+
+    def test_help_and_usage_error_exit_through_main(self):
+        assert fresh_process("umpbt.cli", "--help", flag="-m") == (0, invoke(["--help"])[1], "")
+        status, out, err = fresh_process("umpbt.cli", "chisq", "--df", "6", flag="-m")
+        assert (status, out) == (1, "")
+        assert err == ("usage: umpbt chisq [-h] --df DF (--gamma GAMMA | --alpha ALPHA) "
+                       "[--json]\nerror: usage: one of the arguments --gamma --alpha "
+                       "is required\n")
 
 
 class TestStartUp:

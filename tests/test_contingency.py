@@ -109,6 +109,15 @@ class TestParseTable:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             ContingencyTable(counts)
 
+    def test_whole_float_counts_become_int64(self):
+        """A float array of whole counts is cast to int64, and the table
+        gives the integer table's result, field for field."""
+        table = ContingencyTable(counts=np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert table.counts.dtype == np.int64
+        np.testing.assert_array_equal(table.counts, [[1, 2], [3, 4]])
+        expected = independence_bf(ContingencyTable(counts=np.array([[1, 2], [3, 4]])))
+        assert independence_bf(table) == expected
+
     def test_text_stream_accepted(self):
         table = parse_table(io.StringIO("5,6\n7,8\n"))
         assert table.grand_total == 26

@@ -8,14 +8,17 @@ evidence-threshold rule, gamma > 1 and finite, the size rule, alpha in
 (0, 1), and the alternatives' rule, theta in (0, 1e150];
 ``ttest`` owns its means, finite with magnitude at most 1e100, and its
 scale statistic U, positive and finite, and the sample mean y of
-``t_log_bf`` takes the means' rule; ``TTestSetting`` owns its
-sigma_true, in [1e-53 sqrt(n) gamma_n/(gamma_n - 1), 1e100], and its
-priors, finite and nonnegative; ``ExpFamilyModel`` requires n, theta0 and
-the nuisance to be finite, and ``expfam_log_bf`` its sufficient
-statistic y, finite and of either sign.  Every entry point that takes one
-of these inputs calls its owner, so an input outside the domain fails as
-the same ``DomainError`` everywhere (exit 1 at the command line), before
-any root, kernel or draw runs.
+``t_log_bf`` takes the means' rule; ``TTestSetting`` owns its sample
+size n, an integer from 2 to the largest double, its sigma_true, in
+[1e-53 sqrt(n) gamma_n/(gamma_n - 1), 1e100], and its priors, finite and
+nonnegative; ``ExpFamilyModel`` requires n, theta0 and the nuisance to be
+finite doubles (an int past the largest double is not), and
+``expfam_log_bf`` its sufficient statistic y, finite and of either sign.
+Every entry point that takes one of these inputs calls its owner, so an
+input outside the domain fails as the same ``DomainError`` everywhere
+(exit 1 at the command line), before any root, kernel or draw runs.
+``ContingencyTable`` owns the counts' rules, whose errors are
+``ValidationError`` and ``DegenerateMarginError``.
 """
 
 import math
@@ -26,11 +29,15 @@ import pytest
 
 from umpbt import (
     ChiSqTestSpec,
+    ContingencyTable,
+    DegenerateMarginError,
     DomainError,
     ExpFamilyModel,
     NoncentralChiSq,
+    ParseError,
     TTestSetting,
     UmpbtSolution,
+    ValidationError,
     dlogbf_dy,
     dominance_check,
     expfam_log_bf,
@@ -38,6 +45,7 @@ from umpbt import (
     log_bf_ncchisq,
     mc_rejection_rate,
     nonexistence_demo,
+    parse_table,
     rejection_boundary,
     rejection_boundary_grid,
     rejection_probability,
@@ -52,6 +60,7 @@ from umpbt.special import chisq_cdf, chisq_quantile, noncentral_chisq_sf
 
 _MAX = sys.float_info.max
 _TINY = 5e-324  # the least positive double
+_HUGE = 10**309  # an int past the largest double, which float() cannot convert
 
 DF_ENTRIES = {
     "ChiSqTestSpec": lambda df: ChiSqTestSpec(df=df, gamma=3.0),
@@ -127,6 +136,21 @@ def test_statistic_at_the_bound_is_accepted(entry):
     assert math.isfinite(STATISTIC_ENTRIES[entry](0.0))
 
 
+PRODUCT_ENTRIES = {
+    "log_bf_ncchisq": lambda y: log_bf_ncchisq(y, 2.0, 6.0),
+    "dlogbf_dy": lambda y: dlogbf_dy(y, 2.0, 6.0),
+}
+
+
+@pytest.mark.parametrize("entry", PRODUCT_ENTRIES)
+def test_statistic_times_theta_beyond_double_range(entry):
+    # bf --df 6 --stat 1e308 --gamma 3 at the command line
+    message = (r"^statistic y=1e\+308 times noncentrality theta=2.0 "
+               r"overflows double precision$")
+    with pytest.raises(DomainError, match=message):
+        PRODUCT_ENTRIES[entry](1e308)
+
+
 _SETTING = TTestSetting(n=10, gamma=3.0)
 
 GAMMA_ENTRIES = {
@@ -152,6 +176,21 @@ def test_gamma_outside_the_domain(entry, gamma):
     # interval; that is outside the domain, not a failed root
     with pytest.raises(DomainError, match=r"^evidence threshold must exceed 1, got"):
         GAMMA_ENTRIES[entry](gamma)
+
+
+def _solution(**fields):
+    return UmpbtSolution(**{"theta_star": 7.0, "boundary": 12.0, "gamma": 3.0,
+                            "direction": 1, "df": 6.0, **fields})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"direction": 0}, r"^direction must be -1 or \+1, got 0$"),
+    ({"theta_star": math.inf}, r"^solution fields must be finite$"),
+    ({"boundary": math.nan}, r"^solution fields must be finite$"),
+])
+def test_solution_fields_outside_the_domain(fields, message):
+    with pytest.raises(DomainError, match=message):
+        _solution(**fields)
 
 
 DRAW_ENTRIES = {
@@ -346,6 +385,14 @@ def test_alpha_at_the_bound_is_accepted(monkeypatch, entry, alpha):
     ALPHA_ENTRIES[entry](alpha)
 
 
+@pytest.mark.parametrize("df_max", [2.5, 1.5])
+def test_curve_df_max_outside_the_domain(monkeypatch, df_max):
+    # inside df's range, but not a whole count; checked before the first match
+    _no_draws_or_solves(monkeypatch)
+    with pytest.raises(DomainError, match=rf"^df_max must be a positive integer, got {df_max}$"):
+        gamma_vs_df_curve([0.05], df_max)
+
+
 U_ENTRIES = {
     "t_log_bf": lambda u: t_log_bf(1.0, 2.0, u, _SETTING),
     "t_region": lambda u: t_region(2.0, u, _SETTING),
@@ -400,6 +447,22 @@ def test_alpha_prior_at_its_upper_bound_fails_on_sigma():
         PRIOR_ENTRIES["alpha_prior"](1e300)
 
 
+@pytest.mark.parametrize("n", [1, 2.5, math.nan, math.inf, _HUGE])
+def test_t_test_sample_size_outside_the_domain(n):
+    # an int past the largest double passed as n and overflowed in n + 2 alpha_prior
+    message = r"^sample size must be an integer >= 2 and at most the largest double, got n="
+    with pytest.raises(DomainError, match=message):
+        TTestSetting(n=n, gamma=3.0)
+
+
+def test_n_plus_twice_alpha_prior_overflowing_fails_on_gamma_n():
+    # n and alpha_prior each pass their rules, and n + 2 alpha_prior overflows
+    message = (r"^gamma \*\* \(2/\(n \+ 2 alpha_prior\)\) rounds to 1 at "
+               r"n=\d+, alpha_prior=1e\+300$")
+    with pytest.raises(DomainError, match=message):
+        TTestSetting(n=int(_MAX), alpha_prior=1e300)
+
+
 def _model(kind, field, value):
     fields = {"theta0": 0.3, "n": 10, "side": "greater", field: value}
     return ExpFamilyModel(kind=kind, **fields)
@@ -414,10 +477,11 @@ EXPFAM_ENTRIES = {
 
 
 @pytest.mark.parametrize("entry", EXPFAM_ENTRIES)
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, _HUGE, -_HUGE])
 def test_expfam_parameter_outside_the_domain(entry, value):
     # a NaN or infinite normal-mean theta0 built and failed in the solve, a
-    # NaN known mean solved, and an infinite trial count raised OverflowError
+    # NaN known mean solved, an infinite trial count raised OverflowError,
+    # and so did each of the three fields at an int past the largest double
     field = entry.split()[1]
     with pytest.raises(DomainError, match=rf"^{field}=.* must be finite$"):
         EXPFAM_ENTRIES[entry](value)
@@ -438,6 +502,17 @@ def test_expfam_parameter_outside_the_domain(entry, value):
 ])
 def test_expfam_parameter_at_the_bound_is_accepted(entry, value):
     EXPFAM_ENTRIES[entry](value)
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    ("binomial-proportion nuisance", 2.5,
+     r"^trial count must be a positive integer, got 2.5$"),
+    ("normal-mean-known-variance nuisance", 0.0,
+     r"^known variance must be positive, got 0.0$"),
+])
+def test_expfam_kind_rule_outside_the_domain(entry, value, message):
+    with pytest.raises(DomainError, match=message):
+        EXPFAM_ENTRIES[entry](value)
 
 
 STATISTIC_MODELS = {
@@ -476,3 +551,26 @@ def test_expfam_theta_star_at_theta0_is_outside_the_domain(kind, theta0, n, gamm
                rf"'{side}' side than double precision resolves$")
     with pytest.raises(DomainError, match=message):
         solve_umpbt_expfam(model, gamma)
+
+
+# ContingencyTable's own rules, which a table built in code meets without
+# parse_table's per-cell checks
+TABLE_CASES = {
+    "one-dimensional": (np.array([1, 2, 3]), ValidationError,
+                        r"^counts must be a matrix, got shape \(3,\)$"),
+    "fractional": ([[1.5, 2], [3, 4]], ValidationError, r"^counts must be integers$"),
+    "all zero": (np.zeros((2, 2), dtype=np.int64), DegenerateMarginError,
+                 r"^table has no observations$"),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_table_outside_the_domain(case):
+    counts, error, message = TABLE_CASES[case]
+    with pytest.raises(error, match=message):
+        ContingencyTable(counts=counts)
+
+
+def test_table_source_outside_the_domain():
+    with pytest.raises(ParseError, match=r"^unsupported source type int$"):
+        parse_table(42)
