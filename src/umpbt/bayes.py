@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import xlog1py
 
 from .errors import DomainError
-from .special import _check_df, _check_statistic, log_bessel_i_array
+from .special import _check_df, _check_statistic, _shown, log_bessel_i_array
 
 __all__ = [
     "ChiSqTestSpec",
@@ -181,7 +181,7 @@ class ExpFamilyModel:
         for name in ("n", "theta0", "nuisance"):  # the rules below assume finite doubles
             # an exact comparison: an int past the largest double fails it too
             if not abs(getattr(self, name)) <= sys.float_info.max:
-                raise DomainError(f"{name}={getattr(self, name)} must be finite")
+                raise DomainError(f"{name}={_shown(getattr(self, name))} must be finite")
         if int(self.n) != self.n or self.n < 1:
             raise DomainError(f"sample size must be a positive integer, got {self.n}")
         if self.kind == "binomial-proportion":

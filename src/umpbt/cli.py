@@ -6,8 +6,8 @@ payloads render one ``row ...`` line per entry) and prints floats with
 its floats rounded to 10 significant digits, so both formats agree.
 Identical argv (seeds included) always produces byte-identical output.
 
-Exit status: 0 on success, 1 on domain/validation/usage errors, 2 on
-solver failures.  Diagnostics go to stderr as ``error: <category>: <detail>``.
+Exit status: 0 on success, 2 on a solver failure, 1 on any other error.
+Diagnostics go to stderr as ``error: <category>: <detail>``.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except UmpbtError as exc:
         print(f"error: {exc.category}: {exc}", file=err)
         return 2 if isinstance(exc, SolverError) else 1
-    except OverflowError as exc:
+    except OverflowError as exc:  # ttest-demo's acceptance integrand, from n ~ 1e18
         print(f"error: domain: {exc}", file=err)
         return 1
     except OSError as exc:

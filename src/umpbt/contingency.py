@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import ChiSqTestSpec, log_bf_ncchisq
-from .errors import DegenerateMarginError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .solver import match_gamma_to_alpha
 from .special import LogValue
 
@@ -65,11 +65,11 @@ class ContingencyTable:
         if total > _INT64_MAX:
             raise ValidationError(f"grand total {total} exceeds the int64 range")
         if total == 0:
-            raise DegenerateMarginError("table has no observations")
+            raise ValidationError("table has no observations")
         if np.any(counts.sum(axis=1) == 0):
-            raise DegenerateMarginError("every row total must be positive")
+            raise ValidationError("every row total must be positive")
         if np.any(counts.sum(axis=0) == 0):
-            raise DegenerateMarginError("every column total must be positive")
+            raise ValidationError("every column total must be positive")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         if self.row_labels is not None:
@@ -101,7 +101,7 @@ class IndependenceResult:
 
     @property
     def bf(self) -> float:
-        """Linear-scale Bayes factor; raises OverflowError beyond double range."""
+        """Linear-scale Bayes factor; raises DomainError beyond double range."""
         return LogValue(self.log_bf).exp()
 
 
@@ -176,22 +176,22 @@ def parse_table(source, has_header: bool = False,
 
 def _parse_count(token: str, where: str) -> int:
     """One count cell: an integer literal read exactly, or a float form
-    such as ``1e3`` that holds an integer; it must fit int64."""
+    such as ``1e3`` that holds an integer; it must fit int64.  A digit
+    string past Python's limit on str-to-int conversion reads as inf."""
     try:
         value = int(token)
     except ValueError:
         try:
-            number = float(token)
+            value = float(token)
         except ValueError:
             raise ParseError(f"{where}: {token!r} is not a number") from None
-        if not number.is_integer():
+        if not (value.is_integer() or token.isdecimal()):
             raise ValidationError(f"{where}: count {token!r} is not an integer")
-        value = int(number)
     if value < 0:
         raise ValidationError(f"{where}: count {token!r} is negative")
     if value > _INT64_MAX:
         raise ValidationError(f"{where}: count {token!r} exceeds the int64 range")
-    return value
+    return int(value)
 
 
 def pearson_statistic(table: ContingencyTable) -> tuple[float, int]:

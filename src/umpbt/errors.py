@@ -1,8 +1,7 @@
-"""Exception hierarchy shared by every module.
-
-Each exception carries a short ``category`` tag so the command-line layer can
-emit uniform ``error: <category>: <detail>`` diagnostics and choose the right
-exit status (1 for input problems, 2 for solver failures).
+"""Exception hierarchy shared by every module, one class per category the
+command-line layer prints as ``error: <category>: <detail>``: ``domain``,
+``parse`` and ``validation`` for an input outside a rule (exit status 1),
+``solver`` for a numerical routine that failed (exit status 2).
 """
 
 __all__ = [
@@ -10,10 +9,7 @@ __all__ = [
     "DomainError",
     "ParseError",
     "ValidationError",
-    "DegenerateMarginError",
     "SolverError",
-    "NoRootError",
-    "SeriesError",
 ]
 
 
@@ -41,20 +37,9 @@ class ValidationError(UmpbtError, ValueError):
     category = "validation"
 
 
-class DegenerateMarginError(ValidationError):
-    """A contingency table has an all-zero row or column."""
-
-
 class SolverError(UmpbtError, RuntimeError):
-    """A numerical routine failed to produce a certified answer."""
+    """A numerical routine failed to produce a certified answer: a root not
+    bracketed or not converged, or a series past its term budget."""
 
     category = "solver"
 
-
-class NoRootError(SolverError):
-    """A root-finding bracket could not be established, or a root in it did
-    not converge."""
-
-
-class SeriesError(SolverError):
-    """An internal series or mixture exceeded its certified term budget."""

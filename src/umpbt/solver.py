@@ -41,7 +41,7 @@ import numpy as np
 
 from .bayes import (ChiSqTestSpec, ExpFamilyModel, _bessel_ratio, _check_alpha, _check_gamma,
                     _check_theta, _log_bf_core)
-from .errors import DomainError, NoRootError
+from .errors import DomainError, SolverError
 from .special import _check_df, chisq_cdf, chisq_quantile
 
 # brentq is imported where a scalar boundary or an exponential-family theta*
@@ -141,7 +141,7 @@ def rejection_boundary_grid(thetas: np.ndarray, gamma: float, df: float) -> np.n
     0F1(; b; x) <= e^(x / b).  For df >= 1, R increases, so F is convex:
     the first Newton step lands above the root and the later ones descend
     to it (below df 1 the bracket keeps the steps in).  A non-finite value
-    raises :class:`NoRootError` naming (gamma, df).  Equal alternatives take
+    raises :class:`SolverError` naming (gamma, df).  Equal alternatives take
     the same iterates, so they return equal bits, as ``dominance_check``'s
     zero self-margin needs.  An empty array returns an empty one.
     """
@@ -164,7 +164,7 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
     The rejection region of the test with alternative ``theta`` is the
     upper interval (boundary, inf) because dg/dy > 0 everywhere.  Where
     log g - log gamma keeps one sign up to the largest double, it raises
-    :class:`NoRootError` naming (theta, gamma, df).
+    :class:`SolverError` naming (theta, gamma, df).
     """
     _check_boundary_args(theta, gamma, df)
     theta, log_gamma = float(theta), math.log(gamma)
@@ -185,7 +185,7 @@ def rejection_boundary(theta: float, gamma: float, df: float) -> float:
             if "different signs" not in str(exc):
                 raise
             if hi == _DOUBLE_MAX:
-                raise NoRootError(
+                raise SolverError(
                     f"no rejection boundary for theta={theta!r}, gamma={gamma!r}, "
                     f"df={df!r}: log g - log gamma has one sign at both ends of "
                     f"[1e-12, {_DOUBLE_MAX!r}]") from None
@@ -201,7 +201,7 @@ def _z_root(f, z: np.ndarray, what: str) -> np.ndarray:
     last, gives way to bisection (to 4 lo while hi is inf).  A step within
     4 ulps ends an element, as does one within 1e-8 z that fails to halve
     the last, where only the rounding of f can stall Newton; the elements
-    still live go on.  A non-finite value raises NoRootError.
+    still live go on.  A non-finite value raises SolverError.
     """
     root, live, lo = np.empty_like(z), np.arange(z.size), np.zeros_like(z)
     hi, last = np.full_like(z, math.inf), math.inf  # last: |step| of the last step
@@ -211,7 +211,7 @@ def _z_root(f, z: np.ndarray, what: str) -> np.ndarray:
         value, slope = f(z, live)
         if not np.isfinite(value).all():
             bad = float(z[~np.isfinite(value)][0])
-            raise NoRootError(f"no root in z for {what}: non-finite value at z={bad!r}")
+            raise SolverError(f"no root in z for {what}: non-finite value at z={bad!r}")
         lo, hi = np.where(value < 0.0, z, lo), np.where(value < 0.0, hi, z)
         # a slope that rounds to 0 (theta*'s, next to gamma = 1 at small df)
         # gives a step of inf or NaN, which leaves the bracket: bisection
@@ -227,7 +227,7 @@ def _z_root(f, z: np.ndarray, what: str) -> np.ndarray:
         if done.any():
             root[live[done]] = z[done]
             live, z, lo, hi, last = (a[~done] for a in (live, z, lo, hi, last))
-    raise NoRootError(f"no root in z for {what}")  # pragma: no cover - halving ends it
+    raise SolverError(f"no root in z for {what}")  # pragma: no cover - halving ends it
 
 
 def _ratio_slope(z: np.ndarray, df: float) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +292,7 @@ def _minimum_at_root(value_at, theta: float, theta_hi: float, what: str):
                                _REFINE_TOL * (1.0 + grid[k]))
     value = value_at(theta)
     if not math.isfinite(value):
-        raise NoRootError(f"non-finite value at theta*={theta!r} for {what}")
+        raise SolverError(f"non-finite value at theta*={theta!r} for {what}")
     return theta, value
 
 
@@ -343,7 +343,7 @@ def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
     maximizer, so the minimal boundary equals y_alpha exactly.  The
     maximizer solves y_alpha R(z) = z, one root in z, reused within the
     process (:func:`_matched_maximum` states the key and the bound).  A
-    failed root raises :class:`NoRootError` naming (alpha, df).
+    failed root raises :class:`SolverError` naming (alpha, df).
     """
     if spec.alpha is None:
         raise DomainError("match_gamma_to_alpha requires a spec with alpha set")
@@ -364,8 +364,8 @@ def match_gamma_to_alpha(spec: ChiSqTestSpec) -> UmpbtSolution:
         )
     try:
         theta_star, neg_best = _matched_maximum(y_alpha, df, _log_bf_core)
-    except NoRootError as exc:
-        raise NoRootError(f"alpha={alpha}, df={df}: {exc}") from None
+    except SolverError as exc:
+        raise SolverError(f"alpha={alpha}, df={df}: {exc}") from None
     return UmpbtSolution(theta_star=theta_star, boundary=y_alpha, gamma=math.exp(-neg_best),
                          direction=1, df=df, alpha=alpha)
 

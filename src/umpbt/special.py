@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, NoRootError, SeriesError
+from .errors import DomainError, SolverError
 
 __all__ = [
     "LogValue",
@@ -78,10 +78,19 @@ class LogValue:
 
     def exp(self) -> float:
         if self.log_magnitude > _MAX_EXP:
-            raise OverflowError(
+            raise DomainError(
                 f"linear value exp({self.log_magnitude:.6g}) overflows double precision"
             )
         return math.exp(self.log_magnitude)
+
+
+def _shown(value, show=str) -> str:
+    """``show(value)`` for a message; an int past Python's limit on
+    int-to-str conversion (4,300 digits by default) shows its digit count."""
+    try:
+        return show(value)
+    except ValueError:
+        return f"{'-' * (value < 0)}<int of about {int(math.log10(abs(value))) + 1} digits>"
 
 
 def _check_df(df: float) -> None:
@@ -90,7 +99,7 @@ def _check_df(df: float) -> None:
     The laws share it: outside it ``chisq_quantile`` fails, at df 5e-324
     and at many df from 1e18 on."""
     if not (_DF_MIN <= df <= _DF_MAX):
-        raise DomainError(f"degrees of freedom df={df} must lie in [1e-10, 1e8]")
+        raise DomainError(f"degrees of freedom df={_shown(df)} must lie in [1e-10, 1e8]")
 
 
 def _check_statistic(y: float) -> None:
@@ -348,7 +357,7 @@ def chisq_quantile(p: float, df: float) -> float:
             break
         lo, hi = hi, hi * 2.0
     else:  # pragma: no cover - cdf(hi) -> 1 long before this
-        raise NoRootError("chi-squared quantile bracket expansion failed")
+        raise SolverError("chi-squared quantile bracket expansion failed")
 
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
@@ -460,16 +469,16 @@ def noncentral_chisq_sf(y: float, dist: NoncentralChiSq) -> float:
         k_lo = max(0, k_lo - half_width) if grow_lo else k_lo
         k_hi = k_hi + half_width if grow_hi else k_hi
     else:  # pragma: no cover - the terms fall faster than geometrically
-        raise SeriesError("Poisson mixture window failed to reach a 1e-17 relative tail")
+        raise SolverError("Poisson mixture window failed to reach a 1e-17 relative tail")
     return min(1.0, math.exp(peak) * float(terms.sum()))
 
 
 def _check_draws(n: int, seed: int) -> None:
     """The one rule for a draw count and its seed, checked before any draw."""
     if isinstance(n, bool) or not hasattr(n, "__index__") or not 1 <= n <= _MAX_DRAWS:
-        raise DomainError(f"n_draws must be an integer in [1, 2**30], got {n!r}")
+        raise DomainError(f"n_draws must be an integer in [1, 2**30], got {_shown(n, repr)}")
     if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+        raise DomainError(f"seed must be a nonnegative integer, got {_shown(seed, repr)}")
 
 
 def sample_noncentral_chisq(dist: NoncentralChiSq, n: int, seed: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from scipy import special as _sp
 
 from .bayes import _bessel_ratio, _check_gamma
 from .errors import DomainError
-from .special import _check_draws
+from .special import _check_draws, _shown
 
 __all__ = [
     "TTestSetting",
@@ -80,7 +80,7 @@ class TTestSetting:
         # an exact comparison: an int past the largest double fails it too
         if not (2 <= self.n <= sys.float_info.max and int(self.n) == self.n):
             raise DomainError(f"sample size must be an integer >= 2 and at most the "
-                              f"largest double, got n={self.n}")
+                              f"largest double, got n={_shown(self.n)}")
         _check_mean(self.theta0, "null mean theta0")
         for name in ("alpha_prior", "beta_prior"):
             if not 0.0 <= getattr(self, name) <= 1e300:

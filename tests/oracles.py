@@ -4,8 +4,7 @@ These deliberately avoid the package's own evaluation paths: Bessel values
 come from direct high-precision summation of the ascending series (mpmath),
 central chi-squared probabilities from quadrature of the density, the
 df = 1 Bayes factor and boundary from elementary closed forms, and
-densities for normalization checks from scipy's independently implemented
-scaled Bessel function.
+densities for normalization checks from ``mpmath.besseli``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy import integrate as _integrate
-from scipy import special as _sp
 
 
 def bessel_series_mp(order: float, z: float, terms: int = 500, dps: int = 60):
@@ -72,10 +70,10 @@ def chisq_cdf_by_quadrature(y: float, df: float) -> float:
 
 
 def noncentral_chisq_log_density(y: float, df: float, theta: float) -> float:
-    """Log of the noncentral chi-squared density via scipy's scaled Bessel."""
+    """Log of the noncentral chi-squared density via ``mpmath.besseli``."""
     z = math.sqrt(theta * y)
     order = df / 2 - 1
-    log_bessel = math.log(_sp.ive(order, z)) + z
+    log_bessel = log_bessel_mp(order, z)
     return (
         math.log(0.5)
         - (y + theta) / 2

@@ -71,7 +71,7 @@ class TestNoncentralChiSqBayesFactor:
         assert LogValue(log_bf_ncchisq(4.0, 1.0, 1.0)).exp() == pytest.approx(
             math.exp(-0.5) * math.cosh(2.0), rel=1e-12
         )
-        with pytest.raises(OverflowError):
+        with pytest.raises(DomainError, match="overflows double precision"):
             LogValue(log_bf_ncchisq(4000.0, 4000.0, 2.0)).exp()
 
     def test_domain_errors(self):

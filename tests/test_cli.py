@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from umpbt import (ChiSqTestSpec, DomainError, NoRootError, cli, mc_rejection_rate,
+from umpbt import (ChiSqTestSpec, DomainError, SolverError, cli, errors, mc_rejection_rate,
                    solve_umpbt_chisq)
 from umpbt.cli import render_plain, run
 
@@ -66,12 +66,24 @@ class TestChisqCommand:
 
     def test_solver_failure_exits_two(self, monkeypatch):
         def fail(spec):
-            raise NoRootError("no root in z for alpha=0.05, df=6.0")
+            raise SolverError("no root in z for alpha=0.05, df=6.0")
 
         monkeypatch.setattr(cli, "match_gamma_to_alpha", fail)
         code, _, err = invoke(["chisq", "--df", "6", "--alpha", "0.05"])
         assert code == 2
         assert err.startswith("error: solver:")
+
+    @pytest.mark.parametrize("name", [n for n in errors.__all__ if n != "UmpbtError"])
+    def test_each_error_class_prints_its_category(self, name, monkeypatch):
+        cls = getattr(errors, name)
+
+        def fail(spec):
+            raise cls("the message")
+
+        monkeypatch.setattr(cli, "match_gamma_to_alpha", fail)
+        code, out, err = invoke(["chisq", "--df", "6", "--alpha", "0.05"])
+        assert code == (2 if cls is SolverError else 1) and out == ""
+        assert err == f"error: {cls.category}: the message\n"
 
     def test_unattainable_alpha_exits_one(self):
         code, out, err = invoke(["chisq", "--df", "6", "--alpha", "0.99"])
@@ -545,6 +557,13 @@ class TestTtestDemoCommand:
                                "--theta-t", "2,x"])
         assert code == 1
         assert err.startswith("error: domain:")
+
+    def test_acceptance_integrand_overflow_exits_one(self):
+        # from n ~ 1e18 the acceptance integrand's math.exp overflows, the one
+        # OverflowError a handler raises on admitted inputs; run() prints it
+        code, out, err = invoke(["ttest-demo", "--n", str(10**18), "--gamma", "3",
+                                 "--theta-t", "2,4", "--draws", "50"])
+        assert (code, out, err) == (1, "", "error: domain: math range error\n")
 
     def test_report_shape(self):
         code, out, _ = invoke(["ttest-demo", "--n", "10", "--gamma", "3",

@@ -17,11 +17,12 @@ finite doubles (an int past the largest double is not), and
 Every entry point that takes one of these inputs calls its owner, so an
 input outside the domain fails as the same ``DomainError`` everywhere
 (exit 1 at the command line), before any root, kernel or draw runs.
-``ContingencyTable`` owns the counts' rules, whose errors are
-``ValidationError`` and ``DegenerateMarginError``.
+``ContingencyTable`` owns the counts' rules, whose error is
+``ValidationError``.
 """
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -30,7 +31,6 @@ import pytest
 from umpbt import (
     ChiSqTestSpec,
     ContingencyTable,
-    DegenerateMarginError,
     DomainError,
     ExpFamilyModel,
     NoncentralChiSq,
@@ -61,6 +61,8 @@ from umpbt.special import chisq_cdf, chisq_quantile, noncentral_chisq_sf
 _MAX = sys.float_info.max
 _TINY = 5e-324  # the least positive double
 _HUGE = 10**309  # an int past the largest double, which float() cannot convert
+_LONG = 10**5000  # an int past Python's 4,300-digit limit, which str() cannot convert
+_LONGS = [pytest.param(_LONG, id="10**5000"), pytest.param(-_LONG, id="-10**5000")]
 
 DF_ENTRIES = {
     "ChiSqTestSpec": lambda df: ChiSqTestSpec(df=df, gamma=3.0),
@@ -81,7 +83,8 @@ DIST_DF_ENTRIES = {
 # kernels failed (at df 8.9e-13 and below), and chisq_quantile failed at
 # 5e-324 and at the largest double
 _DF_OUTSIDE = [math.nextafter(1e8, math.inf), 1e12, 0.0, math.nan, math.inf,
-               math.nextafter(1e-10, 0.0), 1e-13, 5e-324, -math.inf, -_TINY, -1.0, _MAX]
+               math.nextafter(1e-10, 0.0), 1e-13, 5e-324, -math.inf, -_TINY, -1.0, _MAX,
+               *_LONGS]
 _DF_MESSAGE = r"^degrees of freedom df=.* must lie in \[1e-10, 1e8\]$"
 
 
@@ -198,6 +201,7 @@ DRAW_ENTRIES = {
         NoncentralChiSq(6.0, 1.0), n, seed),
     "t_rejection_prob": lambda n, seed: t_rejection_prob(1.0, 0.0, _SETTING, n, seed),
     "nonexistence_demo": lambda n, seed: nonexistence_demo(_SETTING, [1.0, 2.0], n, seed),
+    "mc_rejection_rate": lambda n, seed: mc_rejection_rate(1.0, 1.0, 3.0, 6.0, n, seed),
 }
 
 
@@ -209,7 +213,7 @@ def _no_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("entry", DRAW_ENTRIES)
-@pytest.mark.parametrize("n_draws", [0, 2.5, True, 2**30 + 1])
+@pytest.mark.parametrize("n_draws", [0, 2.5, True, 2**30 + 1, _LONGS[0]])
 def test_draw_count_outside_the_domain(monkeypatch, entry, n_draws):
     # the check comes before the draws' array: 2**30 + 1 of them take 8 GiB
     _no_draws(monkeypatch)
@@ -218,7 +222,7 @@ def test_draw_count_outside_the_domain(monkeypatch, entry, n_draws):
 
 
 @pytest.mark.parametrize("entry", DRAW_ENTRIES)
-@pytest.mark.parametrize("seed", [-1, 1.5, True])
+@pytest.mark.parametrize("seed", [-1, 1.5, True, _LONGS[1]])
 def test_seed_outside_the_domain(monkeypatch, entry, seed):
     _no_draws(monkeypatch)
     with pytest.raises(DomainError, match=r"^seed must be a nonnegative integer"):
@@ -393,6 +397,25 @@ def test_curve_df_max_outside_the_domain(monkeypatch, df_max):
         gamma_vs_df_curve([0.05], df_max)
 
 
+@pytest.mark.parametrize("df_max", [10**8 + 1, _LONGS[0]])
+def test_curve_df_max_past_the_df_range(monkeypatch, df_max):
+    _no_draws_or_solves(monkeypatch)
+    with pytest.raises(DomainError, match=_DF_MESSAGE):
+        gamma_vs_df_curve([0.05], df_max)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts an int of any length to str")
+@pytest.mark.parametrize("call, shown", [
+    (lambda: TTestSetting(n=_LONG, gamma=3.0), "n=<int of about 5001 digits>"),
+    (lambda: mc_rejection_rate(1.0, 1.0, 3.0, 6.0, 10, -_LONG), "-<int of about 5001 digits>"),
+], ids=["n", "seed"])
+def test_an_int_past_the_str_limit_shows_its_digit_count(call, shown):
+    # the message formatted the int, and str() raised ValueError past 4,300 digits
+    with pytest.raises(DomainError, match=re.escape(shown) + "$"):
+        call()
+
+
 U_ENTRIES = {
     "t_log_bf": lambda u: t_log_bf(1.0, 2.0, u, _SETTING),
     "t_region": lambda u: t_region(2.0, u, _SETTING),
@@ -447,7 +470,7 @@ def test_alpha_prior_at_its_upper_bound_fails_on_sigma():
         PRIOR_ENTRIES["alpha_prior"](1e300)
 
 
-@pytest.mark.parametrize("n", [1, 2.5, math.nan, math.inf, _HUGE])
+@pytest.mark.parametrize("n", [1, 2.5, math.nan, math.inf, _HUGE, _LONGS[0]])
 def test_t_test_sample_size_outside_the_domain(n):
     # an int past the largest double passed as n and overflowed in n + 2 alpha_prior
     message = r"^sample size must be an integer >= 2 and at most the largest double, got n="
@@ -477,7 +500,8 @@ EXPFAM_ENTRIES = {
 
 
 @pytest.mark.parametrize("entry", EXPFAM_ENTRIES)
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, _HUGE, -_HUGE])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, _HUGE, -_HUGE,
+                                   *_LONGS])
 def test_expfam_parameter_outside_the_domain(entry, value):
     # a NaN or infinite normal-mean theta0 built and failed in the solve, a
     # NaN known mean solved, an infinite trial count raised OverflowError,
@@ -559,7 +583,7 @@ TABLE_CASES = {
     "one-dimensional": (np.array([1, 2, 3]), ValidationError,
                         r"^counts must be a matrix, got shape \(3,\)$"),
     "fractional": ([[1.5, 2], [3, 4]], ValidationError, r"^counts must be integers$"),
-    "all zero": (np.zeros((2, 2), dtype=np.int64), DegenerateMarginError,
+    "all zero": (np.zeros((2, 2), dtype=np.int64), ValidationError,
                  r"^table has no observations$"),
 }
 

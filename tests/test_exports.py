@@ -28,3 +28,12 @@ def test_every_public_name_of_umpbt_is_some_modules_export():
     submodules = {name for name in public if isinstance(getattr(umpbt, name), types.ModuleType)}
     assert set(MODULES) <= submodules <= set(MODULES) | {"cli"}
     assert public - submodules == exported
+
+
+def test_each_error_class_is_one_printed_category():
+    # the CLI prints error: <category>:, so two classes of one category
+    # would be one failure under two names
+    classes = [getattr(umpbt.errors, name) for name in umpbt.errors.__all__]
+    categories = [cls.category for cls in classes if cls is not umpbt.UmpbtError]
+    assert sorted(categories) == ["domain", "parse", "solver", "validation"]
+    assert all(issubclass(cls, umpbt.UmpbtError) for cls in classes)

@@ -14,7 +14,6 @@ from umpbt import (
     ChiSqTestSpec,
     DomainError,
     ExpFamilyModel,
-    NoRootError,
     NoncentralChiSq,
     SolverError,
     UmpbtSolution,
@@ -188,7 +187,7 @@ class TestRejectionBoundary:
         ys = []
         monkeypatch.setattr(solver, "_log_bf_core",
                             lambda y, theta, df: ys.append(y) or 1e3 + y * 0.0)
-        with pytest.raises(NoRootError, match=r"^no rejection boundary for theta=2\.0, "
+        with pytest.raises(SolverError, match=r"^no rejection boundary for theta=2\.0, "
                                               r"gamma=3\.0, df=6\.0: "):
             rejection_boundary(2.0, 3.0, 6.0)
         assert max(ys) == np.finfo(float).max
@@ -448,7 +447,7 @@ class TestMatchedThresholdReuse:
             theta, math.nan))
         spec = ChiSqTestSpec(df=6.0, alpha=0.05)
         for _ in range(2):
-            with pytest.raises(NoRootError, match=r"alpha=0\.05, df=6\.0"):
+            with pytest.raises(SolverError, match=r"alpha=0\.05, df=6\.0"):
                 match_gamma_to_alpha(spec)
         assert solver._matched_maximum.cache_info().currsize == 0
 
@@ -551,9 +550,9 @@ class TestZRootPlacement:
         core = solver._log_bf_core
         monkeypatch.setattr(solver, "_log_bf_core", lambda y, theta, df: np.where(
             theta > 1.0, math.nan, core(y, theta, df)))
-        with pytest.raises(NoRootError, match=r"gamma=3\.0, df=6\.0"):
+        with pytest.raises(SolverError, match=r"gamma=3\.0, df=6\.0"):
             solver._theta_star_z_root(3.0, 6.0)
-        with pytest.raises(NoRootError, match=r"gamma=3\.0, df=6\.0"):
+        with pytest.raises(SolverError, match=r"gamma=3\.0, df=6\.0"):
             solve_umpbt_chisq(ChiSqTestSpec(df=6.0, gamma=3.0))
 
     @pytest.mark.parametrize("df, alpha", [(0.05, 0.05), (1.0, 0.01), (6.0, 0.05),

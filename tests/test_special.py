@@ -283,7 +283,7 @@ class TestLogValue:
         assert LogValue(0.0).exp() == 1.0
 
     def test_exp_overflow_detected(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(DomainError, match=r"^linear value exp\(800\) overflows"):
             LogValue(800.0).exp()
 
 

@@ -6,8 +6,9 @@ Run from anywhere:
 
 Each case runs ``umpbt.cli.run`` in process on the source tree and feeds
 its argv, exit status, stdout and stderr to the hash.  The list covers
-every subcommand in plain and ``--json`` form, two error cases, and the
-CSV that ``curve --df-max 30`` writes.  The checkout and temporary paths
+every subcommand in plain and ``--json`` form, five error cases (every
+printed category but ``parse`` and ``io``; the ``validation`` one reads a
+table the tool writes), and the CSV that ``curve --df-max 30`` writes.  The checkout and temporary paths
 are masked, and the CLI wraps usage lines at a fixed width whatever
 ``COLUMNS`` says, so equal digests at two commits mean byte-identical CLI
 output on this list wherever the tree sits and whatever the terminal.  It
@@ -53,6 +54,8 @@ COMMANDS = [
 ERRORS = [
     ["chisq", "--df", "6"],
     ["power", "--df", "6", "--gamma", "3", "--theta-grid", "0:inf:2"],
+    ["bf", "--df", "6", "--stat", "100000", "--gamma", "3"],  # bf past double range
+    ["chisq", "--df", "1e-10", "--gamma", "1.000000001"],  # a failed root, exit 2
 ]
 
 
@@ -73,6 +76,9 @@ def main() -> None:
     for argv in ERRORS:
         _feed(digest, argv)
     with tempfile.TemporaryDirectory() as tmp:
+        table = Path(tmp) / "zero_column.csv"
+        table.write_text("a,b\n0,1\n0,2\n", encoding="utf-8")
+        _feed(digest, ["contingency", str(table), "--header"], tmp=str(table))
         path = str(Path(tmp) / "curve.csv")
         for fmt in ([], ["--json"]):
             _feed(digest, ["curve", "--df-max", "30", "-o", path, *fmt], tmp=path)
